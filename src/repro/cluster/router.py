@@ -45,6 +45,7 @@ from repro.cluster.ring import HashRing
 from repro.errors import (
     CircuitOpen,
     DeadlineExhausted,
+    MalformedRequest,
     QueryValidationError,
     ReproError,
     ServiceDraining,
@@ -61,6 +62,7 @@ from repro.serve.http import (
     NO_STORE_HEADER,
     STATUS_BY_CODE,
     jittered_retry_after,
+    parse_content_length,
 )
 from repro.serve.metrics import Counter, Histogram, render_text_metrics
 
@@ -68,8 +70,9 @@ __all__ = ["ClusterRouter"]
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
 
 #: Router-side counters (the worker lifecycle counters live on the
@@ -263,6 +266,8 @@ class ClusterRouter:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._server: asyncio.AbstractServer | None = None
+        #: Live client-connection handlers, cancelled at :meth:`stop`.
+        self._conns: set[asyncio.Task] = set()
         self.url: str | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -302,6 +307,13 @@ class ClusterRouter:
         async def _teardown() -> None:
             if self._server is not None:
                 self._server.close()
+            # An idle keep-alive connection would otherwise keep its
+            # handler pending past the loop's close: destroyed pending,
+            # closing its transport on a closed loop.
+            for task in self._conns:
+                task.cancel()
+            await asyncio.gather(*self._conns, return_exceptions=True)
+            if self._server is not None:
                 await self._server.wait_closed()
             for pool in self._pools.values():
                 pool.close()
@@ -366,28 +378,19 @@ class ClusterRouter:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._conns.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                with self._active_lock:
-                    self._active += 1
                 try:
-                    response = await self._dispatch(
-                        method, target, body, headers
-                    )
-                except ReproError as exc:
-                    response = self._error_response(exc)
-                except Exception as exc:  # router bug: typed, not bare
-                    response = self._error_response(
-                        ReproError(f"router failure: {exc}")
-                    )
-                finally:
-                    with self._active_lock:
-                        self._active -= 1
-                close = headers.get("connection", "").lower() == "close"
+                    request = await self._read_request(reader)
+                except MalformedRequest as exc:
+                    # The body's extent is unknown: answer, then close.
+                    response, close = self._error_response(exc), True
+                else:
+                    if request is None:
+                        break
+                    response, close = await self._serve_request(*request)
                 status, payload, content_type, retry_after = response
                 writer.write(_response_bytes(
                     status, payload,
@@ -402,6 +405,27 @@ class ClusterRouter:
             pass
         finally:
             writer.close()
+            self._conns.discard(task)
+
+    async def _serve_request(
+        self, method: str, target: str, headers: dict[str, str], body: bytes
+    ) -> tuple[tuple[int, bytes, str, float | None], bool]:
+        """One parsed request's response, and whether the client asked
+        to close the connection after it."""
+        with self._active_lock:
+            self._active += 1
+        try:
+            response = await self._dispatch(method, target, body, headers)
+        except ReproError as exc:
+            response = self._error_response(exc)
+        except Exception as exc:  # router bug: typed, not bare
+            response = self._error_response(
+                ReproError(f"router failure: {exc}")
+            )
+        finally:
+            with self._active_lock:
+                self._active -= 1
+        return response, headers.get("connection", "").lower() == "close"
 
     @staticmethod
     async def _read_request(
@@ -423,7 +447,7 @@ class ClusterRouter:
                 raise ConnectionError("client truncated request headers")
             name, _, value = hline.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
+        length = parse_content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 

@@ -27,6 +27,8 @@ __all__ = [
     "ScenarioError",
     "ServeError",
     "QueryValidationError",
+    "MalformedRequest",
+    "PayloadTooLarge",
     "ServiceOverloaded",
     "QueryTimeout",
     "DeadlineExhausted",
@@ -137,6 +139,21 @@ class QueryValidationError(ServeError, ValueError):
     code = "query_validation"
 
 
+class MalformedRequest(ServeError, ValueError):
+    """An HTTP request whose framing is unusable — a ``Content-Length``
+    that is not a plain decimal byte count.  The server answers and
+    closes the connection: the stream cannot be resynchronised."""
+
+    code = "malformed_request"
+
+
+class PayloadTooLarge(MalformedRequest):
+    """An HTTP request declares a body larger than the server reads
+    (:data:`repro.serve.http.MAX_BODY_BYTES`); refused unread."""
+
+    code = "payload_too_large"
+
+
 class ServiceOverloaded(ServeError):
     """The admission queue is full; the request was shed, not queued.
 
@@ -160,7 +177,7 @@ class DeadlineExhausted(ServeError, TimeoutError):
     Unlike :class:`QueryTimeout` (a local per-call deadline, checked
     only while awaiting the answer), this is the wire budget carried in
     ``X-Repro-Deadline-Ms`` and decremented at every stage — router,
-    spill, worker admission, handler, micro-batch.  ``stage`` names the
+    spill, worker admission, queued work, handler.  ``stage`` names the
     layer that refused to start (or continue) work it could no longer
     finish in time, so a 504 pinpoints where the budget died.
     """

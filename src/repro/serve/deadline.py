@@ -4,10 +4,11 @@ A client's deadline becomes a :class:`DeadlineBudget` — an absolute
 point on a monotonic clock — carried on the wire as
 ``X-Repro-Deadline-Ms`` (milliseconds *remaining*, re-encoded at every
 hop so clock skew between processes never matters).  Every lifecycle
-stage (router admission, spill attempt, worker admission, handler
-start, micro-batch flush) asks ``remaining_ms()`` and refuses work it
-can no longer finish, raising :class:`~repro.errors.DeadlineExhausted`
-tagged with the stage that gave up.  That turns "a 504 after the work
+stage (router admission, spill attempt, worker admission, a worker
+taking queued work, handler start) asks ``remaining_ms()`` and refuses
+work it can no longer finish, raising
+:class:`~repro.errors.DeadlineExhausted` tagged with the stage that gave
+up.  That turns "a 504 after the work
 was already done" into "a fast typed 504 before wasting the CPU".
 
 The header value is the *remaining* budget, not an absolute deadline:

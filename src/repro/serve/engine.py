@@ -10,9 +10,12 @@ stays responsive), and four serving mechanisms:
   from memory;
 * **coalescing** — identical *in-flight* questions share one
   computation: later arrivals await the first one's future;
-* **micro-batching** — queries of a batchable kind that differ only
-  along the kind's batch axis gather for a short window and collapse
-  into one vectorised evaluation;
+* **micro-batching** — fresh work is queued as a *group*: a query of
+  a batchable kind joins a queued group that differs from it only
+  along the kind's batch axis, and the group collapses into one
+  vectorised evaluation.  Groups form while work waits in the queue,
+  never on a timer, so an idle engine starts work at once and a busy
+  one still batches;
 * **backpressure** — the admission queue is bounded; when it is full
   new work is *shed* with :class:`~repro.errors.ServiceOverloaded`
   instead of queued, and every request carries a deadline
@@ -105,7 +108,7 @@ from repro.scenario import (
 from repro.serve.admission import AIMDLimiter
 from repro.serve.deadline import DeadlineBudget
 from repro.serve.metrics import Metrics
-from repro.serve.queries import Query, QueryRegistry, canonical_params
+from repro.serve.queries import Query, QueryRegistry
 
 __all__ = ["QueryEngine", "QueryResponse", "SERVE_RETRY_POLICY"]
 
@@ -159,7 +162,7 @@ class _WorkUnit:
     """One in-flight computation's waiter ledger + cancellation token.
 
     Lives entirely on the event loop (no locking): every waiter —
-    the submitter, coalesced late arrivals, micro-batch co-members —
+    the submitter, coalesced late arrivals, group co-members —
     ``join()``s, and ``leave(abandoned=True)`` from the *last* waiter
     cancels the token so the evaluating thread stops consuming CPU.
     """
@@ -181,96 +184,93 @@ class _WorkUnit:
             self.token.cancel()
 
 
-@dataclass
-class _Pending:
-    """One admitted query riding the queue to a worker."""
-
-    query: Query
-    future: asyncio.Future
-    budget: DeadlineBudget | None
-    work: _WorkUnit
-    admitted_at: float
+#: One member of a :class:`_Group`: ``(query, future, budget)``.
+_Member = tuple[Query, asyncio.Future, DeadlineBudget | None]
 
 
 @dataclass
-class _BatchGroup:
-    """Pending members of one micro-batch (same kind, same non-axis
-    params, same scenario — the fingerprint is part of the group key).
-    All members share one :class:`_WorkUnit`: the batch evaluation is
-    cancelled only once *every* member has been abandoned."""
+class _Group:
+    """One unit of queued work: the queries one evaluation answers.
 
-    group_key: tuple
+    From admission until a worker takes it off the queue, a group is
+    open: a fresh query with the same ``key`` (:meth:`Query.batch_group`
+    — same kind, same non-axis params, same scenario) joins it, up to
+    ``max_batch`` members.  An unbatchable kind has ``key=None``: a group
+    of one that no other query can join.  All members share one
+    :class:`_WorkUnit`: the evaluation is cancelled only once *every*
+    member has been abandoned."""
+
+    key: tuple | None
     work: _WorkUnit
     admitted_at: float
-    members: list[_Pending] = field(default_factory=list)
+    members: list[_Member]  # in admission order
 
 
 def _evaluate(
-    query: Query,
-    token: CancellationToken | None = None,
-    budget: DeadlineBudget | None = None,
-) -> Any:
-    """Run one handler under the query's scenario (executor thread).
+    queries: list[Query],
+    token: CancellationToken,
+    budget: DeadlineBudget | None,
+) -> list[Any]:
+    """Answer one group's queries, in order (executor thread).
+
+    A kind with a batch axis answers the whole group with one
+    ``batch_handler(params, values)`` call; any other kind is a group of
+    one and calls ``handler(params)``.  Members share the first one's
+    non-axis params and scenario — both are part of the group key.
 
     Pool threads never inherit the submitting thread's contextvars, so
     the overlay — and the cancellation token — is installed here,
     inside the worker.  The handler-stage budget check runs per retry
     attempt: a retry whose budget died while backing off is refused."""
+    first = queries[0]
+    kind = first.kind
     if budget is not None and budget.exhausted():
         raise DeadlineExhausted(
-            f"{query.kind.name} handler refused: deadline budget exhausted",
+            f"{kind.name} handler refused: deadline budget exhausted",
             stage="handler",
         )
-    with cancel_context(token), scenario_context(query.scenario):
-        return query.kind.handler(query.params)
+    with cancel_context(token), scenario_context(first.scenario):
+        if kind.batch_axis is None:
+            return [kind.handler(first.params)]
+        values = tuple(getattr(q.params, kind.batch_axis) for q in queries)
+        answers = kind.batch_handler(first.params, values)
+    return [answers[value] for value in values]
 
 
 def _evaluate_with_recovery(
-    evaluate: Any,
-    query: Query,
+    queries: list[Query],
+    token: CancellationToken,
+    budget: DeadlineBudget | None,
     injector: FaultInjector | None,
     policy: RetryPolicy,
     metrics: Metrics,
-    wire_params: dict[str, Any] | None = None,
-    axis_values: tuple[str, tuple] | None = None,
-) -> Any:
-    """One handler evaluation under fault injection + seeded retry
-    (executor thread).  ``evaluate`` is the zero-argument computation;
-    the ``handler:<kind>`` fault site fires before each attempt.
-    Validation errors are never retried — they are the caller's bug,
-    not a transient failure — and neither are cancellation or deadline
-    exhaustion: retrying abandoned or out-of-time work only burns more
-    CPU for nobody.
+) -> list[Any]:
+    """One group evaluation under fault injection + seeded retry
+    (executor thread); the ``handler:<kind>`` fault site fires before
+    each attempt.  Validation errors are never retried — they are the
+    caller's bug, not a transient failure — and neither are
+    cancellation or deadline exhaustion: retrying abandoned or
+    out-of-time work only burns more CPU for nobody.
 
-    Every attempt's answer passes :func:`repro.integrity.verify_answer`
-    before it is accepted — a miscomputation (modelled by the
-    ``wrong-answer`` fault kind, which perturbs the value *before* any
-    checksum exists) raises :class:`IntegrityError` and is retried like
-    any transient failure, so a single soft error costs one retry, not
-    one wrong answer served.  ``axis_values`` names a micro-batch's
-    ``(axis, member values)`` so each member's answer is verified
-    against its own effective params."""
-    site = f"handler:{query.kind.name}"
-    kind_name = query.kind.name
+    Every attempt's answers pass :func:`repro.integrity.verify_answer`,
+    each against its own member's canonical params, before they are
+    accepted — a miscomputation (modelled by the ``wrong-answer`` fault
+    kind, which perturbs the value *before* any checksum exists) raises
+    :class:`IntegrityError` and is retried like any transient failure,
+    so a single soft error costs one retry, not one wrong answer
+    served."""
+    kind_name = queries[0].kind.name
+    site = f"handler:{kind_name}"
 
-    def attempt() -> Any:
+    def attempt() -> list[Any]:
         with fault_context(injector):
             fault = injector.fire(site) if injector is not None else None
-            value = evaluate()
+            answers = _evaluate(queries, token, budget)
             if fault == "wrong-answer":
-                value = perturb_answer(value)
-            if wire_params is not None:
-                if axis_values is None:
-                    verify_answer(kind_name, wire_params, value)
-                else:
-                    axis, members = axis_values
-                    for member in members:
-                        verify_answer(
-                            kind_name,
-                            {**wire_params, axis: member},
-                            value[member],
-                        )
-            return value
+                answers = perturb_answer(answers)
+            for query, answer in zip(queries, answers):
+                verify_answer(kind_name, query.canonical, answer)
+            return answers
 
     def on_retry(_attempt: int, exc: BaseException) -> None:
         metrics.inc("retries")
@@ -278,9 +278,8 @@ def _evaluate_with_recovery(
             metrics.inc("integrity_detected")
 
     seed = injector.plan.seed if injector is not None else 0
-    t_start = time.perf_counter()
     try:
-        value, _retries = retry_call(
+        answers, _retries = retry_call(
             attempt,
             policy=policy,
             seed=seed,
@@ -292,18 +291,12 @@ def _evaluate_with_recovery(
             ),
             on_retry=on_retry,
         )
-    except OperationCancelled:
-        # Account the CPU time this cancellation reclaimed: the handler
-        # ran this long, then stopped instead of finishing for nobody.
-        elapsed_ms = int((time.perf_counter() - t_start) * 1000.0)
-        metrics.inc("cancelled_work_ms", elapsed_ms)
-        raise
     except IntegrityError:
         # The *final* attempt still failed verification (on_retry
         # counted the earlier ones); better a typed error than garbage.
         metrics.inc("integrity_detected")
         raise
-    return value
+    return answers
 
 
 class QueryEngine:
@@ -320,8 +313,6 @@ class QueryEngine:
         :class:`ServiceOverloaded`.
     cache_size:
         Result-cache entry bound (LRU eviction).
-    batch_window_s:
-        How long a claimed micro-batch keeps gathering members.
     max_batch:
         Largest micro-batch; further members start a new group.
     default_timeout_s:
@@ -359,7 +350,6 @@ class QueryEngine:
         workers: int = 4,
         max_queue: int = 128,
         cache_size: int = 256,
-        batch_window_s: float = 0.005,
         max_batch: int = 64,
         default_timeout_s: float = 30.0,
         metrics: Metrics | None = None,
@@ -403,7 +393,6 @@ class QueryEngine:
         self.workers = workers
         self.max_queue = max_queue
         self.cache_size = cache_size
-        self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.default_timeout_s = default_timeout_s
         self.metrics = metrics or Metrics()
@@ -463,7 +452,7 @@ class QueryEngine:
         self._stale: OrderedDict[Any, Any] = OrderedDict()
         self._inflight: dict[Any, asyncio.Future] = {}
         self._work: dict[Any, _WorkUnit] = {}
-        self._pending_batches: dict[tuple, _BatchGroup] = {}
+        self._open_groups: dict[tuple, _Group] = {}
         self._scenarios: dict[str, ScenarioSpec] = {}
         self._queue: asyncio.Queue | None = None
         self._executor: ThreadPoolExecutor | None = None
@@ -476,7 +465,7 @@ class QueryEngine:
         self.metrics.register_gauge("inflight", lambda: len(self._inflight))
         self.metrics.register_gauge("cache_entries", lambda: len(self._cache))
         self.metrics.register_gauge(
-            "pending_batches", lambda: len(self._pending_batches)
+            "pending_batches", lambda: len(self._open_groups)
         )
         self.metrics.register_gauge("scrub_age_s", self._scrub_age_s)
         self.metrics.register_section("admission", self._admission.limits)
@@ -546,10 +535,10 @@ class QueryEngine:
         """Refuse new work and wait for every in-flight query to settle.
 
         Returns ``True`` when the engine went idle within ``timeout_s``
-        — no in-flight computations, no gathering micro-batches, an
-        empty admission queue — and ``False`` when the deadline struck
-        first (the caller shuts down anyway; the abandoned work was
-        already rejected-or-running and its callers hold the futures).
+        — no in-flight computations, which includes all queued work —
+        and ``False`` when the deadline struck first (the caller shuts
+        down anyway; the abandoned work was already rejected-or-running
+        and its callers hold the futures).
         Idempotent: draining an idle engine returns immediately.
         """
         self._draining = True
@@ -557,11 +546,7 @@ class QueryEngine:
             return True
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s
-        while (
-            self._inflight
-            or self._pending_batches
-            or (self._queue is not None and not self._queue.empty())
-        ):
+        while self._inflight:
             if loop.time() >= deadline:
                 return False
             await asyncio.sleep(0.005)
@@ -869,7 +854,6 @@ class QueryEngine:
                 stage="admission",
             )
         key = query.cache_key
-        wire_params = canonical_params(query.params)
 
         entry = self._cache.get(key)
         if entry is not None:
@@ -899,7 +883,7 @@ class QueryEngine:
                 else:
                     self.metrics.inc("cache_hits")
                     return self._respond(
-                        query, wire_params, entry.value, t0, cached=True,
+                        query, entry.value, t0, cached=True,
                         digest=entry.digest,
                     )
 
@@ -915,7 +899,7 @@ class QueryEngine:
                 inflight, timeout, query, budget=budget, work=work
             )
             return self._respond(
-                query, wire_params, env.value, t0, coalesced=True,
+                query, env.value, t0, coalesced=True,
                 degraded=degraded, digest=env.digest,
             )
 
@@ -930,7 +914,7 @@ class QueryEngine:
             if stale is not None:
                 self.metrics.inc("degraded")
                 return self._respond(
-                    query, wire_params, stale.value, t0, degraded=True,
+                    query, stale.value, t0, degraded=True,
                     digest=stale.digest,
                 )
             raise
@@ -950,7 +934,7 @@ class QueryEngine:
             future, timeout, query, budget=budget, work=work
         )
         return self._respond(
-            query, wire_params, env.value, t0, batched=n_members > 1,
+            query, env.value, t0, batched=n_members > 1,
             degraded=degraded, digest=env.digest,
         )
 
@@ -990,7 +974,6 @@ class QueryEngine:
     def _respond(
         self,
         query: Query,
-        wire_params: dict[str, Any],
         value: Any,
         t0: float,
         *,
@@ -1001,7 +984,7 @@ class QueryEngine:
         self.metrics.observe_latency(query.kind.name, latency)
         return QueryResponse(
             kind=query.kind.name,
-            params=wire_params,
+            params=query.canonical,
             value=value,
             latency_s=latency,
             digest=digest,
@@ -1016,68 +999,53 @@ class QueryEngine:
         *,
         store: bool = True,
     ) -> _WorkUnit:
-        """Queue fresh work, joining a pending micro-batch when possible.
+        """Queue fresh work, joining an open group when possible.
 
         Returns the :class:`_WorkUnit` governing the computation this
-        caller now waits on (the group's, when it joined a batch) with
-        the caller already joined.  Fresh singles and *new* groups pass
-        the adaptive admission limiter; joining an already-admitted
-        group adds no concurrency and bypasses it.
+        caller now waits on (the group's, when it joined one) with the
+        caller already joined.  A new group passes the adaptive
+        admission limiter; joining an already-admitted group adds no
+        concurrency and bypasses it.
         """
-        now = time.perf_counter()
-        group_key = query.batch_group()
-        if group_key is not None:
-            group = self._pending_batches.get(group_key)
-            if group is not None and len(group.members) < self.max_batch:
-                group.work.join()
-                if store:
-                    group.work.store = True
-                self._work[query.cache_key] = group.work
-                group.members.append(
-                    _Pending(query, future, budget, group.work, now)
+        member = (query, future, budget)
+        key = query.batch_group()
+        # Unbatchable kinds (key None) never find a group to join.
+        group = self._open_groups.get(key)
+        if group is not None and len(group.members) < self.max_batch:
+            group.work.join()
+            if store:
+                group.work.store = True
+            group.members.append(member)
+        else:
+            kind_name = query.kind.name
+            if not self._admission.try_acquire(kind_name):
+                self.metrics.inc("admission_rejected")
+                raise ServiceOverloaded(
+                    f"adaptive concurrency limit reached for "
+                    f"{kind_name!r}; query shed"
                 )
-                return group.work
-        kind_name = query.kind.name
-        if not self._admission.try_acquire(kind_name):
-            self.metrics.inc("admission_rejected")
-            raise ServiceOverloaded(
-                f"adaptive concurrency limit reached for "
-                f"{kind_name!r}; query shed"
+            group = _Group(
+                key, _WorkUnit(store=store), time.perf_counter(), [member]
             )
-        work = _WorkUnit(store=store)
-        work.join()
-        pending = _Pending(query, future, budget, work, now)
-        try:
-            if group_key is None:
-                self._enqueue(pending)
-            else:
-                self._enqueue_group(
-                    _BatchGroup(group_key, work, now, [pending])
-                )
-        except ServiceOverloaded:
-            self._admission.cancel_acquire(kind_name)
-            raise
-        self._work[query.cache_key] = work
-        return work
+            group.work.join()
+            try:
+                self._enqueue(group)
+            except ServiceOverloaded:
+                self._admission.cancel_acquire(kind_name)
+                raise
+        self._work[query.cache_key] = group.work
+        return group.work
 
-    def _enqueue(self, pending: _Pending) -> None:
-        try:
-            self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
-            raise ServiceOverloaded(
-                f"admission queue full ({self.max_queue}); "
-                f"{pending.query.kind.name} query shed"
-            ) from None
-
-    def _enqueue_group(self, group: _BatchGroup) -> None:
+    def _enqueue(self, group: _Group) -> None:
         try:
             self._queue.put_nowait(group)
         except asyncio.QueueFull:
             raise ServiceOverloaded(
                 f"admission queue full ({self.max_queue}); "
-                f"{group.group_key[0]} query shed"
+                f"{group.members[0][0].kind.name} query shed"
             ) from None
-        self._pending_batches[group.group_key] = group
+        if group.key is not None:
+            self._open_groups[group.key] = group
 
     async def _await_result(
         self,
@@ -1144,7 +1112,7 @@ class QueryEngine:
         return seal(
             value,
             kind=query.kind.name,
-            params=canonical_params(query.params),
+            params=query.canonical,
             scenario=(
                 scenario_to_dict(query.scenario)
                 if query.scenario is not None
@@ -1188,16 +1156,26 @@ class QueryEngine:
             future.exception()
 
     def _resolve_rejected(
-        self, query: Query, future: asyncio.Future, exc: BaseException
+        self,
+        members: list[_Member],
+        exc: OperationCancelled | DeadlineExhausted,
     ) -> None:
-        """Resolve a computation that was *refused* (cancelled, budget
-        dead) rather than failed: no stale fallback, no ``errors``
+        """Resolve computations that were *refused* (cancelled, budget
+        dead) rather than failed: counted as ``cancelled`` or
+        ``deadline_exhausted``, but no stale fallback, no ``errors``
         count, no breaker verdict — nobody is usually waiting."""
-        self._inflight.pop(query.cache_key, None)
-        self._work.pop(query.cache_key, None)
-        if not future.done():
-            future.set_exception(exc)
-            future.exception()  # usually zero waiters; silence asyncio
+        self.metrics.inc(
+            "cancelled"
+            if isinstance(exc, OperationCancelled)
+            else "deadline_exhausted",
+            len(members),
+        )
+        for query, future, _ in members:
+            self._inflight.pop(query.cache_key, None)
+            self._work.pop(query.cache_key, None)
+            if not future.done():
+                future.set_exception(exc)
+                future.exception()  # usually zero waiters; silence asyncio
 
     def _abort_breaker_trials(self, query: Query) -> None:
         """Hand back any half-open trial slots this query claimed when
@@ -1210,193 +1188,95 @@ class QueryEngine:
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            item = await self._queue.get()
-            if item is _STOP:
+            group = await self._queue.get()
+            if group is _STOP:
                 return
-            if isinstance(item, _BatchGroup):
-                await self._run_batch(loop, item)
-            else:
-                await self._run_single(loop, item)
+            await self._run_group(loop, group)
 
-    async def _run_single(
-        self, loop: asyncio.AbstractEventLoop, pending: _Pending
+    async def _run_group(
+        self, loop: asyncio.AbstractEventLoop, group: _Group
     ) -> None:
-        query, future = pending.query, pending.future
-        budget, work = pending.budget, pending.work
-        queue_delay = time.perf_counter() - pending.admitted_at
+        """Evaluate one group a worker took off the queue: each member
+        is refused, failed, or answered from one handler call."""
+        # Off the queue the group is closed: a later arrival with the
+        # same key starts a new group rather than join running work.
+        if self._open_groups.get(group.key) is group:
+            del self._open_groups[group.key]
+        first = group.members[0][0]
+        queue_delay = time.perf_counter() - group.admitted_at
         try:
-            if work.token.cancelled:
+            live = []
+            if group.work.token.cancelled:
                 # Every waiter left while this sat in the queue: the
                 # whole evaluation is reclaimed, not just its tail.
-                self.metrics.inc("cancelled")
-                self._abort_breaker_trials(query)
                 self._resolve_rejected(
-                    query, future,
+                    group.members,
                     OperationCancelled(
-                        f"{query.kind.name} query abandoned before "
+                        f"{first.kind.name} query abandoned before "
                         f"evaluation started"
                     ),
                 )
+            else:
+                # Budget-dead members are refused here; the survivors
+                # still share one evaluation.
+                for member in group.members:
+                    budget = member[2]
+                    if budget is not None and budget.exhausted():
+                        self._resolve_rejected(
+                            [member],
+                            DeadlineExhausted(
+                                f"{first.kind.name} query's deadline "
+                                f"budget ran out waiting in the queue",
+                                stage="worker",
+                            ),
+                        )
+                    else:
+                        live.append(member)
+            if not live:
+                self._abort_breaker_trials(first)
                 return
-            if budget is not None and budget.exhausted():
-                self.metrics.inc("deadline_exhausted")
-                self._abort_breaker_trials(query)
-                self._resolve_rejected(
-                    query, future,
-                    DeadlineExhausted(
-                        f"{query.kind.name} query's deadline budget ran "
-                        f"out waiting in the queue",
-                        stage="worker",
-                    ),
-                )
-                return
+            # The evaluation serves every live member, so it gets the
+            # most generous live budget — and none at all if any member
+            # is unbudgeted (cutting their answer short would be a
+            # regression).
+            budgets = [budget for _, _, budget in live]
+            budget = None
+            if all(b is not None for b in budgets):
+                budget = max(budgets, key=lambda b: b.remaining_s())
+            t_start = time.perf_counter()
             try:
-                value = await loop.run_in_executor(
+                answers = await loop.run_in_executor(
                     self._executor,
                     _evaluate_with_recovery,
-                    lambda q=query, t=work.token, b=budget: _evaluate(q, t, b),
-                    query,
+                    [query for query, _, _ in live],
+                    group.work.token,
+                    budget,
                     self._injector,
                     self.retry_policy,
                     self.metrics,
-                    canonical_params(query.params),
-                    None,
                 )
-            except OperationCancelled as exc:
-                self.metrics.inc("cancelled")
-                self._abort_breaker_trials(query)
-                self._resolve_rejected(query, future, exc)
-            except DeadlineExhausted as exc:
-                self.metrics.inc("deadline_exhausted")
-                self._abort_breaker_trials(query)
-                self._resolve_rejected(query, future, exc)
+            except (OperationCancelled, DeadlineExhausted) as exc:
+                self._resolve_rejected(live, exc)
+                self._abort_breaker_trials(first)
+                if isinstance(exc, OperationCancelled):
+                    # Reclaimed CPU: the handler ran this long, then
+                    # stopped.  Counted on the loop after ``cancelled``,
+                    # so a reader never sees one without the other.
+                    elapsed_ms = (time.perf_counter() - t_start) * 1000.0
+                    self.metrics.inc("cancelled_work_ms", int(elapsed_ms))
             except Exception as exc:
-                self._record_outcome(query, ok=False)
-                self._fail(query, future, exc)
+                self._record_outcome(first, ok=False)
+                for query, future, _ in live:
+                    self._fail(query, future, exc)
             else:
-                self._record_outcome(query, ok=True)
-                self.metrics.inc("computed")
-                self._finish(query, future, value, 1)
+                self._record_outcome(first, ok=True)
+                self.metrics.inc("computed", len(live))
+                if group.key is not None:
+                    self.metrics.inc("batches")
+                    self.metrics.batch_size.observe(len(live))
+                    if len(live) > 1:
+                        self.metrics.inc("batched", len(live))
+                for (query, future, _), answer in zip(live, answers):
+                    self._finish(query, future, answer, len(live))
         finally:
-            self._admission.release(query.kind.name, queue_delay)
-
-    async def _run_batch(self, loop: asyncio.AbstractEventLoop,
-                         group: _BatchGroup) -> None:
-        if self.batch_window_s > 0:
-            # Let the batch gather: members arriving during the window
-            # join group.members directly instead of occupying queue slots.
-            await asyncio.sleep(self.batch_window_s)
-        self._pending_batches.pop(group.group_key, None)
-        members = list(group.members)
-        kind_name = members[0].query.kind.name
-        queue_delay = time.perf_counter() - group.admitted_at
-        try:
-            await self._run_batch_members(loop, group, members)
-        finally:
-            self._admission.release(kind_name, queue_delay)
-
-    async def _run_batch_members(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        group: _BatchGroup,
-        members: list[_Pending],
-    ) -> None:
-        representative = members[0].query
-        if group.work.token.cancelled:
-            self.metrics.inc("cancelled", len(members))
-            self._abort_breaker_trials(representative)
-            for p in members:
-                self._resolve_rejected(
-                    p.query, p.future,
-                    OperationCancelled(
-                        f"{p.query.kind.name} micro-batch abandoned by "
-                        f"every member"
-                    ),
-                )
-            return
-        # Budget-dead members are refused at the micro-batch boundary;
-        # the survivors still ride one vectorised evaluation.
-        live: list[_Pending] = []
-        for p in members:
-            if p.budget is not None and p.budget.exhausted():
-                self.metrics.inc("deadline_exhausted")
-                self._resolve_rejected(
-                    p.query, p.future,
-                    DeadlineExhausted(
-                        f"{p.query.kind.name} query's deadline budget ran "
-                        f"out gathering its micro-batch",
-                        stage="micro_batch",
-                    ),
-                )
-            else:
-                live.append(p)
-        if not live:
-            self._abort_breaker_trials(representative)
-            return
-        representative = live[0].query
-        kind = representative.kind
-        axis = kind.batch_axis
-        values = tuple(getattr(p.query.params, axis) for p in live)
-        budgets = [p.budget for p in live]
-        # The evaluation serves every live member, so it gets the most
-        # generous live budget — and none at all if any member is
-        # unbudgeted (cutting their answer short would be a regression).
-        handler_budget: DeadlineBudget | None = None
-        if all(b is not None for b in budgets):
-            handler_budget = max(budgets, key=lambda b: b.remaining_s())
-
-        def evaluate_batch(
-            token=group.work.token, b=handler_budget
-        ) -> Any:
-            if b is not None and b.exhausted():
-                raise DeadlineExhausted(
-                    f"{kind.name} micro-batch refused: every member's "
-                    f"deadline budget is exhausted",
-                    stage="handler",
-                )
-            # One scenario per group — the fingerprint is in the group key.
-            with cancel_context(token), scenario_context(
-                representative.scenario
-            ):
-                return kind.batch_handler(representative.params, values)
-
-        try:
-            answers = await loop.run_in_executor(
-                self._executor,
-                _evaluate_with_recovery,
-                evaluate_batch,
-                representative,
-                self._injector,
-                self.retry_policy,
-                self.metrics,
-                canonical_params(representative.params),
-                (axis, values),
-            )
-        except OperationCancelled as exc:
-            self.metrics.inc("cancelled", len(live))
-            self._abort_breaker_trials(representative)
-            for p in live:
-                self._resolve_rejected(p.query, p.future, exc)
-            return
-        except DeadlineExhausted as exc:
-            self.metrics.inc("deadline_exhausted", len(live))
-            self._abort_breaker_trials(representative)
-            for p in live:
-                self._resolve_rejected(p.query, p.future, exc)
-            return
-        except Exception as exc:
-            self._record_outcome(representative, ok=False)
-            for p in live:
-                self._fail(p.query, p.future, exc)
-            return
-        self._record_outcome(representative, ok=True)
-        self.metrics.inc("computed", len(live))
-        self.metrics.inc("batches")
-        self.metrics.batch_size.observe(len(live))
-        if len(live) > 1:
-            self.metrics.inc("batched", len(live))
-        for p in live:
-            self._finish(
-                p.query, p.future,
-                answers[getattr(p.query.params, axis)], len(live),
-            )
+            self._admission.release(first.kind.name, queue_delay)

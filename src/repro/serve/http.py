@@ -50,7 +50,13 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.errors import QueryValidationError, ReproError, ServiceDraining
+from repro.errors import (
+    MalformedRequest,
+    PayloadTooLarge,
+    QueryValidationError,
+    ReproError,
+    ServiceDraining,
+)
 
 from repro.serve.client import ServeClient
 from repro.serve.deadline import (
@@ -63,12 +69,14 @@ from repro.serve.metrics import render_text_metrics
 
 __all__ = [
     "ServeHTTPServer",
+    "MAX_BODY_BYTES",
     "NO_STORE_HEADER",
     "RESULT_DIGEST_HEADER",
     "STATUS_BY_CODE",
     "jittered_retry_after",
     "make_server",
     "main",
+    "parse_content_length",
     "run_serve_loop",
     "parse_handler_concurrency",
 ]
@@ -89,6 +97,8 @@ RESULT_DIGEST_HEADER = "X-Repro-Result-Digest"
 #: ``code`` field still rides in the payload, so even a 500 is typed.
 STATUS_BY_CODE: dict[str, int] = {
     "query_validation": 400,
+    "malformed_request": 400,
+    "payload_too_large": 413,
     "scenario_error": 400,
     "fault_plan_error": 400,
     "service_overloaded": 429,
@@ -113,6 +123,33 @@ RETRY_AFTER_BY_CODE: dict[str, int] = {
     "service_draining": 1,
     "circuit_open": 2,
 }
+
+
+#: Largest request body either HTTP server (this one and the cluster
+#: router) reads.  A query is a few hundred bytes and an inline scenario
+#: a few KiB; a larger declared body is refused before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+def parse_content_length(value: str | None) -> int:
+    """The body length a request's ``Content-Length`` header declares.
+
+    No header means no body.  Anything but a plain decimal count
+    (``abc``, ``-5``, ``+5``) raises :class:`MalformedRequest` (400);
+    a count over :data:`MAX_BODY_BYTES` raises :class:`PayloadTooLarge`
+    (413)."""
+    if value is None:
+        return 0
+    text = value.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedRequest(f"malformed Content-Length {value!r}")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise PayloadTooLarge(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    return length
 
 
 def jittered_retry_after(seconds: float) -> float:
@@ -146,6 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:g}")
         for name, value in (extra_headers or {}).items():
@@ -213,7 +252,15 @@ class _Handler(BaseHTTPRequestHandler):
                 ))
                 return
             try:
-                length = int(self.headers.get("Content-Length", 0))
+                length = parse_content_length(
+                    self.headers.get("Content-Length")
+                )
+            except MalformedRequest as exc:
+                # The body's extent is unknown: answer, then close.
+                self.close_connection = True
+                self._send_error(exc)
+                return
+            try:
                 request = json.loads(self.rfile.read(length) or b"{}")
                 kind = request["kind"]
                 params = request.get("params") or {}
@@ -263,6 +310,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    # The stdlib's listen backlog of 5 resets connections when a burst
+    # of clients connects at once; a burst must reach the engine, which
+    # sheds with typed 429s instead.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import QueryValidationError
@@ -70,7 +70,12 @@ def canonical_params(params: Any) -> dict[str, Any]:
 
 def canonical_hash(kind: str, params: Any) -> str:
     """SHA-256 of the canonical (kind, params) encoding."""
-    payload = {"kind": kind, "params": canonical_params(params)}
+    return _hash_canonical(kind, canonical_params(params))
+
+
+def _hash_canonical(kind: str, canonical: dict[str, Any]) -> str:
+    """SHA-256 of ``kind`` plus params already in canonical form."""
+    payload = {"kind": kind, "params": canonical}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
@@ -155,15 +160,19 @@ class QueryKind:
 class Query:
     """A validated, canonically-hashable unit of work.
 
-    ``scenario`` is ``None`` for baseline queries (non-empty specs
-    only are stored — the registry normalises an empty spec to
-    ``None``), so a baseline query's cache key and batch group are
-    byte-identical to the pre-scenario wire protocol.
+    ``canonical`` is :func:`canonical_params` of ``params``, computed
+    once by :meth:`QueryRegistry.build`: the wire params every response,
+    answer check, and sealed envelope carries.  ``scenario`` is ``None``
+    for baseline queries (non-empty specs only are stored — the registry
+    normalises an empty spec to ``None``), so a baseline query's cache
+    key and batch group are byte-identical to the pre-scenario wire
+    protocol.
     """
 
     kind: QueryKind
     params: Any
     hash: str
+    canonical: dict[str, Any] = field(compare=False)
     scenario: ScenarioSpec | None = None
 
     @property
@@ -188,10 +197,8 @@ class Query:
         axis = self.kind.batch_axis
         if axis is None:
             return None
-        rest = {
-            k: v for k, v in canonical_params(self.params).items() if k != axis
-        }
-        group_hash = canonical_hash(f"{self.kind.name}@batch", rest)
+        rest = {k: v for k, v in self.canonical.items() if k != axis}
+        group_hash = _hash_canonical(f"{self.kind.name}@batch", rest)
         if self.scenario is None:
             return (self.kind.name, group_hash)
         return (self.kind.name, group_hash, self.scenario.fingerprint)
@@ -236,10 +243,12 @@ class QueryRegistry:
             scenario = None
         with scenario_context(scenario):
             built = kind.build_params(params)
+        canonical = canonical_params(built)
         return Query(
             kind=kind,
             params=built,
-            hash=canonical_hash(name, built),
+            hash=_hash_canonical(name, canonical),
+            canonical=canonical,
             scenario=scenario,
         )
 

@@ -232,6 +232,36 @@ def make_test_registry(record):
 # -- engine mechanics -------------------------------------------------------
 
 
+class TestCanonicalParamsOnce:
+    def test_fresh_query_canonicalises_its_params_once(self, monkeypatch):
+        from repro.serve import engine as engine_module
+        from repro.serve import queries as queries_module
+
+        calls = []
+        real = queries_module.canonical_params
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        # Wherever the serving path could look the name up.
+        for module in (queries_module, engine_module):
+            monkeypatch.setattr(
+                module, "canonical_params", counting, raising=False
+            )
+
+        async def go():
+            async with QueryEngine() as engine:
+                return await engine.submit(
+                    "node_hours", {"scenario": "anl", "speedup": 4}
+                )
+
+        response = run(go())
+        assert response.cached is False
+        assert response.params["speedup"] == 4.0
+        assert len(calls) == 1
+
+
 class TestEngineLifecycle:
     def test_submit_before_start_raises(self):
         engine = QueryEngine(make_test_registry({}))
@@ -351,7 +381,7 @@ class TestMicroBatching:
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=1, batch_window_s=0.05
+                make_test_registry(record), workers=1
             ) as engine:
                 return await asyncio.gather(
                     *(
@@ -373,7 +403,7 @@ class TestMicroBatching:
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=2, batch_window_s=0.05
+                make_test_registry(record), workers=2
             ) as engine:
                 return await asyncio.gather(
                     engine.submit("sweep", {"base": "a", "x": 1.0}),
@@ -396,7 +426,6 @@ class TestMicroBatching:
             async with QueryEngine(
                 make_test_registry(record),
                 workers=1,
-                batch_window_s=0.05,
                 max_batch=4,
             ) as engine:
                 await asyncio.gather(
@@ -409,12 +438,55 @@ class TestMicroBatching:
         run(go())
         assert all(len(values) <= 4 for _, values in record["batch"])
 
+    def test_batches_form_while_the_worker_is_busy(self):
+        """No timer: sweep queries arriving on separate loop turns while
+        the only worker is busy join one queued group; on an idle engine
+        a lone sweep query starts at once as a group of one."""
+        record = {}
+        entered, gate = threading.Event(), threading.Event()
+
+        def gated_handler(p):
+            entered.set()
+            assert gate.wait(10), "test never opened the gate"
+            return {"key": p.key}
+
+        registry = make_test_registry(record)
+        registry.register(QueryKind(
+            name="gated", params_type=SlowParams, handler=gated_handler,
+            description="blocks its worker until the gate opens",
+        ))
+
+        async def go():
+            async with QueryEngine(registry, workers=1) as engine:
+                busy = asyncio.ensure_future(engine.submit("gated"))
+                for _ in range(1000):
+                    if entered.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                assert entered.is_set(), "the gated query never started"
+                sweeps = []
+                for x in range(4):
+                    sweeps.append(asyncio.ensure_future(
+                        engine.submit("sweep", {"x": float(x)})
+                    ))
+                    await asyncio.sleep(0.01)  # a separate loop turn each
+                gate.set()
+                await busy
+                grouped = await asyncio.gather(*sweeps)
+                lone = await engine.submit("sweep", {"x": 9.0})
+                return grouped, lone
+
+        grouped, lone = run(go())
+        assert record["batch"] == [("b", (0.0, 1.0, 2.0, 3.0)), ("b", (9.0,))]
+        assert all(r.batched for r in grouped)
+        assert lone.batched is False
+
     def test_batched_metrics(self):
         record = {}
 
         async def go():
             async with QueryEngine(
-                make_test_registry(record), workers=1, batch_window_s=0.05
+                make_test_registry(record), workers=1
             ) as engine:
                 await asyncio.gather(
                     *(

@@ -7,17 +7,24 @@ exactly, errors must map to their statuses, and the metrics endpoint
 must reflect the traffic.
 """
 
+import gc
 import json
+import logging
 import pathlib
+import socket
+import sys
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
+from repro.cluster import HashRing, ShardTable
+from repro.cluster.router import ClusterRouter
 from repro.errors import QueryValidationError, ServeError
 from repro.serve import HttpServeClient
-from repro.serve.http import main, make_server
+from repro.serve.http import MAX_BODY_BYTES, main, make_server
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -178,6 +185,89 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req)
         assert err.value.code == 400
+
+
+def _lone_router():
+    """A started router over one shard that never comes up — enough to
+    exercise its HTTP server without booting a worker."""
+    return ClusterRouter(
+        ShardTable([0]), HashRing([0], vnodes=16, seed=0), spill=0
+    ).start()
+
+
+def _read_response(sock):
+    """One HTTP/1.1 response off a raw socket: (status, JSON body)."""
+    stream = sock.makefile("rb")
+    status = int(stream.readline().split()[1])
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, json.loads(stream.read(int(headers["content-length"])))
+
+
+def _exchange(url, request):
+    address = urllib.parse.urlsplit(url)
+    with socket.create_connection(
+        (address.hostname, address.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        return _read_response(sock)
+
+
+@pytest.fixture(params=["worker", "router"])
+def front_door(request, server):
+    """The URL of either HTTP server: both parse requests the same way."""
+    if request.param == "worker":
+        yield server.url
+        return
+    router = _lone_router()
+    yield router.url
+    router.stop()
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize(
+        "length, status, code",
+        [
+            ("abc", 400, "malformed_request"),
+            ("-5", 400, "malformed_request"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ],
+    )
+    def test_bad_content_length_is_typed_and_server_survives(
+        self, front_door, length, status, code
+    ):
+        got, payload = _exchange(front_door, (
+            f"POST /query HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode())
+        assert (got, payload["code"]) == (status, code)
+        health, body = _exchange(
+            front_door, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert health == 200 and body["ok"] is True
+
+    def test_router_stop_with_keep_alive_connection_logs_nothing(
+        self, caplog, monkeypatch
+    ):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        router = _lone_router()
+        address = urllib.parse.urlsplit(router.url)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=10
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert _read_response(sock)[0] == 200
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                router.stop()
+                gc.collect()  # destroy anything the closed loop left
+        logged = caplog.text + "".join(
+            f"{u.err_msg}: {u.exc_value!r}\n" for u in unraisable
+        )
+        assert "Event loop is closed" not in logged, logged
+        assert "destroyed but it is pending" not in logged, logged
 
 
 class TestConcurrentHttp:

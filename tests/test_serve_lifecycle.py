@@ -240,7 +240,16 @@ class TestSigtermUnderLoad:
             ]
             for t in threads:
                 t.start()
-            time.sleep(0.4)  # let them reach the 1 s-slow handlers
+            # SIGTERM only once the engine has admitted all four, so
+            # the drain has exactly these in flight.
+            deadline = time.monotonic() + 30
+            admitted = 0
+            while admitted < 4:
+                assert time.monotonic() < deadline, (
+                    f"only {admitted} of 4 queries admitted within 30 s"
+                )
+                time.sleep(0.02)
+                admitted = http.metrics()["counters"]["requests"]
             proc.send_signal(signal.SIGTERM)
 
             # A late arrival during the drain window must bounce with

@@ -316,7 +316,7 @@ class TestServeVectorizedRouting:
         speedups = [2.0, 3.0, 4.0, 6.0, 8.0, 16.0, math.inf]
         model = anl_scenario()
         before = kernel_invocations()
-        with ServeClient(workers=2, batch_window_s=0.05) as client:
+        with ServeClient(workers=2) as client:
             responses = client.query_many(
                 [
                     ("node_hours", {"scenario": "anl", "speedup": s})
@@ -341,7 +341,7 @@ class TestServeVectorizedRouting:
 
         me_speedups = [2.0, 4.0, 8.0]
         model = k_computer_scenario()
-        with ServeClient(workers=2, batch_window_s=0.05) as client:
+        with ServeClient(workers=2) as client:
             responses = client.query_many(
                 [
                     ("costbenefit", {"scenario": "k_computer",
@@ -361,7 +361,7 @@ class TestServeVectorizedRouting:
         from repro.serve.client import ServeClient
 
         fmts = ["fp16", "fp64"]
-        with ServeClient(workers=2, batch_window_s=0.05) as client:
+        with ServeClient(workers=2) as client:
             responses = client.query_many(
                 [("me_speedup", {"device": "a100", "fmt": f}) for f in fmts]
             )
