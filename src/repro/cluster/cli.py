@@ -8,9 +8,7 @@ and one wire protocol.
 
 from __future__ import annotations
 
-import signal
 import sys
-import threading
 
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.serve.http import (
@@ -18,6 +16,7 @@ from repro.serve.http import (
     _float_flag,
     _int_flag,
     parse_handler_concurrency,
+    shutdown_event,
 )
 
 __all__ = ["main"]
@@ -126,20 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         verbose=verbose,
     )
 
-    shutdown_requested = threading.Event()
-
-    def _request_shutdown(signum: int, _frame: object) -> None:
-        if not shutdown_requested.is_set():
-            print(
-                f"received {signal.Signals(signum).name}; draining cluster "
-                f"(grace {drain_timeout:g}s)",
-                flush=True,
-            )
-            shutdown_requested.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
+    shutdown_requested = shutdown_event(
+        f"draining cluster (grace {drain_timeout:g}s)"
+    )
     supervisor.start()
     print(
         f"repro-serve cluster listening on {supervisor.url} "

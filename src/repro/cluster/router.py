@@ -1,8 +1,10 @@
 """The asyncio cluster router: one front door, N shared-nothing shards.
 
-A single-threaded asyncio HTTP server (stdlib only) that speaks the
-exact ``repro-serve`` wire protocol, so :class:`HttpServeClient`, curl,
-and the CI smoke scripts work unchanged against a cluster.  For every
+The same asyncio HTTP server as every worker
+(:class:`~repro.serve.wire.HttpServer`, stdlib only) on a loop of its
+own, so it speaks the exact ``repro-serve`` wire protocol — framing,
+limits, typed errors — and :class:`HttpServeClient`, curl, and the CI
+smoke scripts work unchanged against a cluster.  For every
 ``POST /query`` it:
 
 1. validates and canonicalises the query (malformed input is a typed
@@ -26,13 +28,16 @@ cooldown — the supervisor restarts it meanwhile.
 Worker errors that are *query* outcomes (400/429/504, typed 500s) pass
 through untouched: the router only reroutes infrastructure failures,
 never retries failed computations.
+
+Lifecycle: after ``begin_drain`` new queries answer 503 +
+``Retry-After`` while probes keep working, and ``await_quiescence``
+waits out the in-flight requests.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import urllib.parse
 from typing import Any
 
@@ -45,9 +50,8 @@ from repro.cluster.ring import HashRing
 from repro.errors import (
     CircuitOpen,
     DeadlineExhausted,
-    MalformedRequest,
+    IntegrityError,
     QueryValidationError,
-    ReproError,
     ServiceDraining,
     ShardUnavailable,
 )
@@ -57,23 +61,22 @@ from repro.serve.deadline import (
     DeadlineBudget,
     parse_deadline_header,
 )
-from repro.serve.http import (
-    DEFAULT_ERROR_STATUS,
-    NO_STORE_HEADER,
-    STATUS_BY_CODE,
-    jittered_retry_after,
-    parse_content_length,
-)
+from repro.serve.client import verify_response_digest
+from repro.serve.engine import describe_scenarios
+from repro.serve.handlers import DEFAULT_REGISTRY
+from repro.serve.http import NO_STORE_HEADER
 from repro.serve.metrics import Counter, Histogram, render_text_metrics
+from repro.serve.wire import (
+    HttpServer,
+    Request,
+    Response,
+    error_response,
+    json_response,
+    read_response,
+    text_response,
+)
 
 __all__ = ["ClusterRouter"]
-
-_REASONS = {
-    200: "OK", 400: "Bad Request", 404: "Not Found",
-    413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
 
 #: Router-side counters (the worker lifecycle counters live on the
 #: workers; these cover the routing layer itself).
@@ -95,25 +98,6 @@ ROUTER_COUNTERS = (
 )
 
 
-def _response_bytes(
-    status: int,
-    body: bytes,
-    *,
-    content_type: str = "application/json",
-    retry_after: float | None = None,
-    keep_alive: bool = True,
-) -> bytes:
-    head = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        "Connection: " + ("keep-alive" if keep_alive else "close"),
-    ]
-    if retry_after is not None:
-        head.append(f"Retry-After: {retry_after:g}")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-
-
 class _WorkerPool:
     """Keep-alive connections to one worker URL (event-loop confined)."""
 
@@ -133,10 +117,10 @@ class _WorkerPool:
         on a fresh one, a fresh-connection failure propagates.
 
         ``headers`` are extra request headers (the propagated deadline
-        budget rides here).  Cancellation-safe: a hedge loser cancelled
-        mid-exchange closes its connection instead of re-pooling it —
-        the worker's half-written response would corrupt the next
-        request on that socket.
+        budget rides here).  Any failure — a transport error, a
+        malformed reply, a hedge loser's cancellation mid-exchange —
+        closes the connection instead of re-pooling it: the rest of the
+        worker's response would corrupt the next request on that socket.
         """
         extra = ""
         if headers:
@@ -160,13 +144,10 @@ class _WorkerPool:
                 ).encode("latin-1") + body
                 writer.write(request)
                 await writer.drain()
-                status, rheaders, payload = await self._read_response(reader)
-            except asyncio.CancelledError:
+                status, rheaders, payload = await read_response(reader)
+            except BaseException as exc:
                 writer.close()
-                raise
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                writer.close()
-                if reused and attempt == 0:
+                if reused and attempt == 0 and isinstance(exc, OSError):
                     continue  # the worker closed an idle connection
                 raise
             if rheaders.get("connection", "").lower() == "close":
@@ -176,37 +157,13 @@ class _WorkerPool:
             return status, rheaders, payload
         raise ConnectionError("unreachable")  # pragma: no cover
 
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict[str, str], bytes]:
-        line = await reader.readline()
-        if not line:
-            raise ConnectionError("worker closed the connection")
-        parts = line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ConnectionError(f"malformed status line {line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n"):
-                break
-            if not hline:
-                raise ConnectionError("worker truncated response headers")
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        payload = await reader.readexactly(length) if length else b""
-        return status, headers, payload
-
     def close(self) -> None:
         for _, writer in self._idle:
             writer.close()
         self._idle.clear()
 
 
-class ClusterRouter:
+class ClusterRouter(HttpServer):
     """The consistent-hash routing front end (owns its event loop)."""
 
     def __init__(
@@ -228,6 +185,7 @@ class ClusterRouter:
         hedge_min_observations: int = 20,
         verbose: bool = False,
     ) -> None:
+        super().__init__(verbose=verbose)
         if spill < 0:
             raise ValueError(f"spill must be >= 0, got {spill}")
         if not 0.0 < hedge_ratio <= 1.0:
@@ -244,8 +202,7 @@ class ClusterRouter:
         self.hedge_delay_floor_s = hedge_delay_floor_s
         self.hedge_delay_cap_s = hedge_delay_cap_s
         self.hedge_min_observations = hedge_min_observations
-        self.verbose = verbose
-        self._registry = registry
+        self._registry = DEFAULT_REGISTRY if registry is None else registry
         self._scenarios = dict(scenarios or {})
         self.counters: dict[str, Counter] = {
             n: Counter() for n in ROUTER_COUNTERS
@@ -260,96 +217,21 @@ class ClusterRouter:
             recovery_s=breaker_recovery_s,
         )
         self._pools: dict[str, _WorkerPool] = {}
-        self._draining = False
-        self._active = 0
-        self._active_lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._server: asyncio.AbstractServer | None = None
-        #: Live client-connection handlers, cancelled at :meth:`stop`.
-        self._conns: set[asyncio.Task] = set()
-        self.url: str | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, host: str = "127.0.0.1", port: int = 0) -> "ClusterRouter":
-        if self._loop is not None:
+        if self._server is not None:
             raise RuntimeError("router already started")
-        if self._registry is None:
-            from repro.serve.handlers import DEFAULT_REGISTRY
-
-            self._registry = DEFAULT_REGISTRY
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-cluster-router",
-            daemon=True,
-        )
-        self._thread.start()
-
-        async def _bind() -> tuple[str, int]:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host, port
-            )
-            bound = self._server.sockets[0].getsockname()
-            return bound[0], bound[1]
-
-        bound_host, bound_port = asyncio.run_coroutine_threadsafe(
-            _bind(), self._loop
-        ).result(timeout=30)
-        self.url = f"http://{bound_host}:{bound_port}"
+        self.listen(host, port)
+        super().start()
         return self
 
-    def stop(self) -> None:
-        if self._loop is None:
-            return
-
-        async def _teardown() -> None:
-            if self._server is not None:
-                self._server.close()
-            # An idle keep-alive connection would otherwise keep its
-            # handler pending past the loop's close: destroyed pending,
-            # closing its transport on a closed loop.
-            for task in self._conns:
-                task.cancel()
-            await asyncio.gather(*self._conns, return_exceptions=True)
-            if self._server is not None:
-                await self._server.wait_closed()
-            for pool in self._pools.values():
-                pool.close()
-            self._pools.clear()
-
-        asyncio.run_coroutine_threadsafe(
-            _teardown(), self._loop
-        ).result(timeout=30)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-        self._server = None
-
-    def begin_drain(self) -> None:
-        """New queries answer 503 + ``Retry-After``; probes keep working."""
-        self._draining = True
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active
-
-    def await_quiescence(self, timeout_s: float) -> bool:
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while self.active_requests() > 0:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-        return True
+    async def _teardown(self) -> None:
+        await super()._teardown()
+        for pool in self._pools.values():
+            pool.close()
+        self._pools.clear()
 
     # -- metrics -------------------------------------------------------------
 
@@ -373,151 +255,35 @@ class ClusterRouter:
             },
         }
 
-    # -- connection handling -------------------------------------------------
+    # -- endpoints -----------------------------------------------------------
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conns.add(task)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except MalformedRequest as exc:
-                    # The body's extent is unknown: answer, then close.
-                    response, close = self._error_response(exc), True
-                else:
-                    if request is None:
-                        break
-                    response, close = await self._serve_request(*request)
-                status, payload, content_type, retry_after = response
-                writer.write(_response_bytes(
-                    status, payload,
-                    content_type=content_type,
-                    retry_after=retry_after,
-                    keep_alive=not close,
-                ))
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            writer.close()
-            self._conns.discard(task)
-
-    async def _serve_request(
-        self, method: str, target: str, headers: dict[str, str], body: bytes
-    ) -> tuple[tuple[int, bytes, str, float | None], bool]:
-        """One parsed request's response, and whether the client asked
-        to close the connection after it."""
-        with self._active_lock:
-            self._active += 1
-        try:
-            response = await self._dispatch(method, target, body, headers)
-        except ReproError as exc:
-            response = self._error_response(exc)
-        except Exception as exc:  # router bug: typed, not bare
-            response = self._error_response(
-                ReproError(f"router failure: {exc}")
-            )
-        finally:
-            with self._active_lock:
-                self._active -= 1
-        return response, headers.get("connection", "").lower() == "close"
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise ConnectionError(f"malformed request line {line!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for _ in range(200):
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n"):
-                break
-            if not hline:
-                raise ConnectionError("client truncated request headers")
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = parse_content_length(headers.get("content-length"))
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
-    def _error_response(
-        self, exc: ReproError
-    ) -> tuple[int, bytes, str, float | None]:
-        status = STATUS_BY_CODE.get(exc.code, DEFAULT_ERROR_STATUS)
-        retry_after = exc.retry_after
-        if retry_after is not None:
-            # Jitter the hint so a fleet of rejected clients does not
-            # come back in one synchronized retry wave.
-            retry_after = jittered_retry_after(retry_after)
-        return (
-            status,
-            json.dumps(exc.to_dict()).encode("utf-8"),
-            "application/json",
-            retry_after,
-        )
-
-    @staticmethod
-    def _json(
-        status: int, payload: Any
-    ) -> tuple[int, bytes, str, float | None]:
-        return status, json.dumps(payload).encode("utf-8"), \
-            "application/json", None
-
-    async def _dispatch(
-        self, method: str, target: str, body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes, str, float | None]:
-        parsed = urllib.parse.urlsplit(target)
+    async def respond(self, request: Request) -> Response:
+        parsed = urllib.parse.urlsplit(request.target)
         path = parsed.path
-        if method == "POST" and path == "/query":
-            return await self._handle_query(body, headers)
-        if method != "GET":
-            return self._json(
-                404, {"error": f"no such endpoint: {method} {path}"}
+        if request.method == "POST" and path == "/query":
+            return await self._handle_query(request)
+        if request.method != "GET":
+            return json_response(
+                404, {"error": f"no such endpoint: {request.method} {path}"}
             )
         if path == "/healthz":
-            return self._json(200, self._health())
+            return json_response(200, self._health())
         if path == "/readyz":
             readiness = await self._readiness()
-            return self._json(200 if readiness["ready"] else 503, readiness)
+            return json_response(200 if readiness["ready"] else 503, readiness)
         if path == "/metrics":
-            query = urllib.parse.parse_qs(parsed.query)
-            as_text = query.get("format", ["json"])[-1] == "text"
             aggregated = await self._metrics()
-            if as_text:
-                return (
-                    200,
-                    self._render_cluster_text(aggregated).encode("utf-8"),
-                    "text/plain; charset=utf-8",
-                    None,
-                )
-            return self._json(200, aggregated)
+            fmt = urllib.parse.parse_qs(parsed.query).get("format", [""])[-1]
+            if fmt == "text":
+                text = self._render_cluster_text(aggregated)
+                return text_response(200, text)
+            return json_response(200, aggregated)
         if path == "/kinds":
-            return self._json(200, self._registry.describe())
+            return json_response(200, self._registry.describe())
         if path == "/scenarios":
-            return self._json(200, {
-                name: {
-                    "description": spec.description,
-                    "fingerprint": spec.fingerprint,
-                    "devices": [d.name for d in spec.devices],
-                    "workloads": [w.qualified_name for w in spec.workloads],
-                    "machines": [m.name for m in spec.machines],
-                }
-                for name, spec in sorted(self._scenarios.items())
-            })
+            return json_response(200, describe_scenarios(self._scenarios))
         if path == "/shards":
-            return self._json(200, {
+            return json_response(200, {
                 "shards": {
                     str(sid): meta
                     for sid, meta in self.table.snapshot().items()
@@ -529,45 +295,45 @@ class ClusterRouter:
                 },
                 "spill": self.spill,
             })
-        return self._json(404, {"error": f"no such endpoint: {path}"})
+        return json_response(404, {"error": f"no such endpoint: {path}"})
 
     # -- the routing path ----------------------------------------------------
 
-    async def _handle_query(
-        self, body: bytes, req_headers: dict[str, str] | None = None
-    ) -> tuple[int, bytes, str, float | None]:
+    async def _handle_query(self, request: Request) -> Response:
         self._inc("requests")
         if self._draining:
             self._inc("drain_rejected")
-            return self._error_response(ServiceDraining(
+            return error_response(ServiceDraining(
                 "cluster is draining for shutdown; retry later"
             ))
+        body = request.body
         try:
             budget = parse_deadline_header(
-                (req_headers or {}).get(DEADLINE_HEADER.lower()),
-                clock=self._loop.time,
+                request.header(DEADLINE_HEADER), clock=self._loop.time,
             )
         except QueryValidationError as exc:
             self._inc("invalid")
-            return self._error_response(exc)
+            return error_response(exc)
         try:
-            request = json.loads(body or b"{}")
-            kind = request["kind"]
-            params = request.get("params") or {}
-            scenario = request.get("scenario")
+            query = json.loads(body or b"{}")
+            kind = query["kind"]
+            params = query.get("params") or {}
+            scenario = query.get("scenario")
         except (ValueError, KeyError, TypeError) as exc:
             self._inc("invalid")
-            return self._json(400, {"error": f"malformed query request: {exc}"})
+            return json_response(
+                400, {"error": f"malformed query request: {exc}"}
+            )
         try:
             key = routing_key(kind, params, scenario, registry=self._registry)
         except QueryValidationError as exc:
             self._inc("invalid")
-            return self._error_response(exc)
+            return error_response(exc)
 
         t0 = self._loop.time()
         if budget is not None and budget.exhausted(floor_ms=1.0):
             self._inc("deadline_rejected")
-            return self._error_response(DeadlineExhausted(
+            return error_response(DeadlineExhausted(
                 "deadline budget exhausted before routing",
                 stage="router",
             ))
@@ -613,7 +379,7 @@ class ClusterRouter:
         for idx, (rank, shard, url, breaker) in enumerate(candidates):
             if budget is not None and budget.exhausted(floor_ms=1.0):
                 self._inc("deadline_rejected")
-                return self._error_response(DeadlineExhausted(
+                return error_response(DeadlineExhausted(
                     f"deadline budget exhausted while routing "
                     f"(after {idx} attempt(s))",
                     stage="router",
@@ -667,9 +433,12 @@ class ClusterRouter:
             elapsed = self._loop.time() - t0
             self.latency.observe(elapsed)
             self._observe_kind_latency(kind, elapsed)
-            return status, payload, "application/json", retry_after
+            return Response(status, payload, headers=(
+                {} if retry_after is None
+                else {"Retry-After": f"{retry_after:g}"}
+            ))
         self._inc("unroutable")
-        return self._error_response(ShardUnavailable(
+        return error_response(ShardUnavailable(
             f"no shard available for this query "
             f"(tried {len(preference)}: {'; '.join(skipped)})"
         ))
@@ -724,8 +493,7 @@ class ClusterRouter:
             self._inc("shard_errors")
             skipped.append(f"shard {shard} unreachable (timed out)")
             return None
-        except (ConnectionError, OSError,
-                asyncio.IncompleteReadError) as exc:
+        except OSError as exc:  # unreachable, reset, or a malformed reply
             breaker.record_failure()
             self._inc("shard_errors")
             skipped.append(f"shard {shard} unreachable ({exc})")
@@ -883,21 +651,15 @@ class ClusterRouter:
 
         Replies without a digest (older workers) verify trivially; an
         unparseable 200 body is corrupt by definition."""
-        from repro.integrity import payload_digest
-
         try:
             parsed = json.loads(payload)
-        except ValueError:
+            verify_response_digest(
+                parsed.get("value"), str(parsed.get("digest") or ""),
+                where="shard",
+            )
+        except (ValueError, AttributeError, IntegrityError):
             return False
-        if not isinstance(parsed, dict):
-            return False
-        digest = parsed.get("digest")
-        if not digest:
-            return True
-        try:
-            return payload_digest(parsed.get("value")) == digest
-        except (TypeError, ValueError):
-            return False
+        return True
 
     @staticmethod
     def _annotate(
@@ -951,12 +713,8 @@ class ClusterRouter:
                     self._pool_for(url).request("GET", path, b""),
                     timeout=self.probe_timeout_s,
                 )
-            except (ConnectionError, OSError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError):
-                return None
-            try:
                 return {"status": status, "payload": json.loads(payload)}
-            except ValueError:
+            except (OSError, asyncio.TimeoutError, ValueError):
                 return None
 
         results = await asyncio.gather(

@@ -7,7 +7,7 @@ callers can catch library failures without masking genuine Python bugs
 Each public error carries a machine-readable ``code`` — a stable
 snake_case identifier that survives serialization.  The serve layer
 maps codes to HTTP statuses from one table
-(:data:`repro.serve.http.STATUS_BY_CODE`) and includes the code in
+(:data:`repro.serve.wire.STATUS_BY_CODE`) and includes the code in
 every error payload, so a client can branch on ``response["code"]``
 instead of parsing messages, and "unclassified 500" means exactly
 "an exception that escaped this taxonomy".
@@ -29,6 +29,7 @@ __all__ = [
     "QueryValidationError",
     "MalformedRequest",
     "PayloadTooLarge",
+    "HeadersTooLarge",
     "ServiceOverloaded",
     "QueryTimeout",
     "DeadlineExhausted",
@@ -140,18 +141,27 @@ class QueryValidationError(ServeError, ValueError):
 
 
 class MalformedRequest(ServeError, ValueError):
-    """An HTTP request whose framing is unusable — a ``Content-Length``
-    that is not a plain decimal byte count.  The server answers and
-    closes the connection: the stream cannot be resynchronised."""
+    """An HTTP request whose framing is unusable — a bad request line, a
+    header line without a colon, a ``Content-Length`` that is not a
+    plain decimal byte count.  The server answers and closes the
+    connection: the stream cannot be resynchronised."""
 
     code = "malformed_request"
 
 
 class PayloadTooLarge(MalformedRequest):
     """An HTTP request declares a body larger than the server reads
-    (:data:`repro.serve.http.MAX_BODY_BYTES`); refused unread."""
+    (:data:`repro.serve.wire.MAX_BODY_BYTES`); refused unread."""
 
     code = "payload_too_large"
+
+
+class HeadersTooLarge(MalformedRequest):
+    """An HTTP request with more header lines
+    (:data:`repro.serve.wire.MAX_HEADER_LINES`) or a longer line
+    (:data:`repro.serve.wire.MAX_LINE_BYTES`) than the server reads."""
+
+    code = "headers_too_large"
 
 
 class ServiceOverloaded(ServeError):

@@ -2,10 +2,10 @@
 
 :class:`ServeClient` is the in-process client: it owns an event loop on
 a background thread and exposes a synchronous, thread-safe ``query``
-API over a :class:`~repro.serve.engine.QueryEngine` — tests, the load
-generator, and the HTTP front end all talk to the engine through it, so
-any number of caller threads funnel onto the one loop the engine's
-state lives on.
+API over a :class:`~repro.serve.engine.QueryEngine` — tests and the load
+generator talk to the engine through it, so any number of caller
+threads funnel onto the one loop the engine's state lives on.  The HTTP
+front end serves on that same loop and calls the engine directly.
 
 :class:`HttpServeClient` speaks the same protocol over HTTP (stdlib
 ``urllib``) against a running ``repro-serve`` server, translating the
@@ -79,30 +79,32 @@ class ServeClient:
             raise ValueError("pass an engine or engine kwargs, not both")
         self.engine = engine or QueryEngine(**engine_kwargs)
         self.verify_digest = verify_digest
-        self._loop: asyncio.AbstractEventLoop | None = None
+        #: The event loop the engine (and its HTTP front end) lives on;
+        #: ``None`` until :meth:`start`.
+        self.loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ServeClient":
-        if self._loop is not None:
+        if self.loop is not None:
             raise ServeError("client already started")
-        self._loop = asyncio.new_event_loop()
+        self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-serve-loop", daemon=True
+            target=self.loop.run_forever, name="repro-serve-loop", daemon=True
         )
         self._thread.start()
         self._run(self.engine.start())
         return self
 
     def close(self) -> None:
-        if self._loop is None:
+        if self.loop is None:
             return
         self._run(self.engine.stop())
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        self.loop.call_soon_threadsafe(self.loop.stop)
         self._thread.join()
-        self._loop.close()
-        self._loop = None
+        self.loop.close()
+        self.loop = None
         self._thread = None
 
     def __enter__(self) -> "ServeClient":
@@ -112,9 +114,9 @@ class ServeClient:
         self.close()
 
     def _run(self, coro: Any) -> Any:
-        if self._loop is None:
+        if self.loop is None:
             raise ServeError("client not started; use 'with ServeClient()'")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
 
     # -- queries ------------------------------------------------------------
 
@@ -185,18 +187,6 @@ class ServeClient:
     def metrics(self) -> dict[str, Any]:
         """The engine's current metrics snapshot."""
         return self.engine.metrics.snapshot()
-
-    def kinds(self) -> dict[str, Any]:
-        """The registry's query-kind listing."""
-        return self.engine.registry.describe()
-
-    def scenarios(self) -> dict[str, Any]:
-        """The engine's registered-scenario listing."""
-        return self.engine.describe_scenarios()
-
-    def health(self) -> dict[str, Any]:
-        """The engine's liveness payload (the ``/healthz`` body)."""
-        return self.engine.health()
 
     def readiness(self) -> dict[str, Any]:
         """The engine's readiness payload (the ``/readyz`` body)."""

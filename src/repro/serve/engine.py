@@ -110,7 +110,9 @@ from repro.serve.deadline import DeadlineBudget
 from repro.serve.metrics import Metrics
 from repro.serve.queries import Query, QueryRegistry
 
-__all__ = ["QueryEngine", "QueryResponse", "SERVE_RETRY_POLICY"]
+__all__ = [
+    "QueryEngine", "QueryResponse", "SERVE_RETRY_POLICY", "describe_scenarios",
+]
 
 _STOP = object()
 
@@ -119,6 +121,21 @@ _STOP = object()
 SERVE_RETRY_POLICY = RetryPolicy(
     attempts=3, base_delay_s=0.005, multiplier=2.0, max_delay_s=0.05
 )
+
+
+def describe_scenarios(scenarios: dict[str, ScenarioSpec]) -> dict[str, Any]:
+    """JSON-encodable listing of named scenarios — the ``/scenarios``
+    payload of a worker and of the cluster router alike."""
+    return {
+        name: {
+            "description": spec.description,
+            "fingerprint": spec.fingerprint,
+            "devices": [d.name for d in spec.devices],
+            "workloads": [w.qualified_name for w in spec.workloads],
+            "machines": [m.name for m in spec.machines],
+        }
+        for name, spec in sorted(scenarios.items())
+    }
 
 
 @dataclass(frozen=True)
@@ -755,16 +772,7 @@ class QueryEngine:
     def describe_scenarios(self) -> dict[str, Any]:
         """JSON-encodable listing of the registered scenarios — the
         ``/scenarios`` endpoint payload."""
-        return {
-            name: {
-                "description": spec.description,
-                "fingerprint": spec.fingerprint,
-                "devices": [d.name for d in spec.devices],
-                "workloads": [w.qualified_name for w in spec.workloads],
-                "machines": [m.name for m in spec.machines],
-            }
-            for name, spec in sorted(self._scenarios.items())
-        }
+        return describe_scenarios(self._scenarios)
 
     def _resolve_scenario(
         self, scenario: ScenarioSpec | dict[str, Any] | str | None

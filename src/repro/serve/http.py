@@ -1,9 +1,10 @@
 """The ``repro-serve`` HTTP front end (stdlib-only).
 
-A :class:`ThreadingHTTPServer` whose handler threads delegate to the
-thread-safe :class:`~repro.serve.client.ServeClient`, which marshals
-every request onto the engine's event loop — so concurrent HTTP
-requests coalesce, batch, and shed exactly like in-process ones.
+An asyncio HTTP/1.1 server (:class:`~repro.serve.wire.HttpServer`) on
+the event loop a started :class:`~repro.serve.client.ServeClient`
+already owns: each request awaits the engine's ``submit`` directly, so
+concurrent HTTP requests coalesce, batch, and shed exactly like
+in-process ones, with no thread between the socket and the engine.
 
 Endpoints (JSON in, JSON out):
 
@@ -16,47 +17,38 @@ Endpoints (JSON in, JSON out):
 * ``GET /metrics`` — the engine's metrics snapshot (JSON);
   ``GET /metrics?format=text`` — the same snapshot as plain-text
   ``name{labels} value`` exposition lines for scrapers;
-* ``GET /healthz`` — liveness (the loop and HTTP thread are up);
+* ``GET /healthz`` — liveness (the engine's loop is up and answering);
 * ``GET /readyz``  — readiness: breaker states, warm substrates, the
   active fault plan, and the draining flag; HTTP 503 while any breaker
   is non-closed or the process is draining.
 
 Every error response carries the exception's machine-readable ``code``
 (see :mod:`repro.errors`), and codes map to HTTP statuses from the one
-:data:`STATUS_BY_CODE` table — invalid queries → 400, load shedding →
-429, an open circuit breaker or a draining service → 503, deadline
-expiry → 504; anything else in the taxonomy → 500 with its code, so a
-bare unclassified 500 means exactly "an exception that escaped the
-taxonomy".  Retryable rejections additionally carry a ``Retry-After``
-header (:data:`RETRY_AFTER_BY_CODE`).
+:data:`~repro.serve.wire.STATUS_BY_CODE` table — invalid queries → 400,
+bad framing → 400/413/431, load shedding → 429, an open circuit breaker
+or a draining service → 503, deadline expiry → 504; anything else in
+the taxonomy → 500 with its code, so a bare unclassified 500 means
+exactly "an exception that escaped the taxonomy".  Retryable rejections
+additionally carry a jittered ``Retry-After`` header.
 
 Lifecycle: SIGTERM/SIGINT start a graceful drain — readiness flips to
 503 so load balancers stop routing here, new ``/query`` work is
-refused with 503 + ``Retry-After``, in-flight queries (and the handler
-threads carrying them) finish under ``--drain-timeout``, the result
-cache is flushed to the ``--cache-snapshot`` file (checksummed; a
-corrupt snapshot at next startup means a cold start, never a crash),
-and the process exits 0.
+refused with 503 + ``Retry-After``, in-flight requests finish under
+``--drain-timeout``, the result cache is flushed to the
+``--cache-snapshot`` file (checksummed; a corrupt snapshot at next
+startup means a cold start, never a crash), and the process exits 0.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.errors import (
-    MalformedRequest,
-    PayloadTooLarge,
-    QueryValidationError,
-    ReproError,
-    ServiceDraining,
-)
+from repro.errors import QueryValidationError, ReproError
 
 from repro.serve.client import ServeClient
 from repro.serve.deadline import (
@@ -66,6 +58,15 @@ from repro.serve.deadline import (
     parse_deadline_ms,
 )
 from repro.serve.metrics import render_text_metrics
+from repro.serve.wire import (
+    MAX_BODY_BYTES,
+    STATUS_BY_CODE,
+    HttpServer,
+    Request,
+    Response,
+    json_response,
+    text_response,
+)
 
 __all__ = [
     "ServeHTTPServer",
@@ -73,10 +74,8 @@ __all__ = [
     "NO_STORE_HEADER",
     "RESULT_DIGEST_HEADER",
     "STATUS_BY_CODE",
-    "jittered_retry_after",
     "make_server",
     "main",
-    "parse_content_length",
     "run_serve_loop",
     "parse_handler_concurrency",
 ]
@@ -93,282 +92,72 @@ NO_STORE_HEADER = "X-Repro-No-Store"
 #: and prove the bytes it received are the bytes the engine computed.
 RESULT_DIGEST_HEADER = "X-Repro-Result-Digest"
 
-#: The one code→HTTP-status table.  Codes absent here answer 500; the
-#: ``code`` field still rides in the payload, so even a 500 is typed.
-STATUS_BY_CODE: dict[str, int] = {
-    "query_validation": 400,
-    "malformed_request": 400,
-    "payload_too_large": 413,
-    "scenario_error": 400,
-    "fault_plan_error": 400,
-    "service_overloaded": 429,
-    "circuit_open": 503,
-    "service_draining": 503,
-    "shard_unavailable": 503,
-    "operation_cancelled": 503,
-    "query_timeout": 504,
-    "deadline_exhausted": 504,
-    "integrity_error": 500,
-}
 
-#: Status for a :class:`ReproError` whose code has no table entry.
-DEFAULT_ERROR_STATUS = 500
+class ServeHTTPServer(HttpServer):
+    """HTTP server bound to one started :class:`ServeClient`, serving
+    on the client's event loop."""
 
-#: ``Retry-After`` seconds attached to retryable rejections: shedding
-#: and draining clear in about a second (or a load balancer moves the
-#: caller to another replica); an open breaker needs its recovery
-#: window.
-RETRY_AFTER_BY_CODE: dict[str, int] = {
-    "service_overloaded": 1,
-    "service_draining": 1,
-    "circuit_open": 2,
-}
-
-
-#: Largest request body either HTTP server (this one and the cluster
-#: router) reads.  A query is a few hundred bytes and an inline scenario
-#: a few KiB; a larger declared body is refused before any of it is read.
-MAX_BODY_BYTES = 1 << 20
-
-
-def parse_content_length(value: str | None) -> int:
-    """The body length a request's ``Content-Length`` header declares.
-
-    No header means no body.  Anything but a plain decimal count
-    (``abc``, ``-5``, ``+5``) raises :class:`MalformedRequest` (400);
-    a count over :data:`MAX_BODY_BYTES` raises :class:`PayloadTooLarge`
-    (413)."""
-    if value is None:
-        return 0
-    text = value.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise MalformedRequest(f"malformed Content-Length {value!r}")
-    length = int(text)
-    if length > MAX_BODY_BYTES:
-        raise PayloadTooLarge(
-            f"request body of {length} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
-    return length
-
-
-def jittered_retry_after(seconds: float) -> float:
-    """Spread one ``Retry-After`` hint uniformly across ±50%.
-
-    Every client that hit the same breaker/drain rejection gets a
-    *different* retry time, so they do not come back as one synchronized
-    thundering herd exactly ``seconds`` later.  Deliberately *not*
-    seeded: decorrelation is the point.
-    """
-    return max(0.05, seconds * random.uniform(0.5, 1.5))
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Small header + body writes otherwise collide with delayed ACK on
-    # the peer (a ~40 ms stall per round trip through the cluster
-    # router's keep-alive connections).
-    disable_nagle_algorithm = True
-    server: "ServeHTTPServer"
-
-    def _send(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        *,
-        retry_after: float | None = None,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, exc: ReproError) -> None:
-        retry_after = exc.retry_after
-        if retry_after is None:
-            retry_after = RETRY_AFTER_BY_CODE.get(exc.code)
-        if retry_after is not None:
-            retry_after = jittered_retry_after(retry_after)
-        self._send(
-            STATUS_BY_CODE.get(exc.code, DEFAULT_ERROR_STATUS),
-            exc.to_dict(),
-            retry_after=retry_after,
-        )
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        if self.server.verbose:  # pragma: no cover - log formatting
-            super().log_message(fmt, *args)
-
-    def do_GET(self) -> None:
-        with self.server.track_request():
-            client = self.server.client
-            parsed = urllib.parse.urlsplit(self.path)
-            if self.path == "/healthz":
-                self._send(200, client.health())
-            elif self.path == "/readyz":
-                readiness = client.readiness()
-                self._send(200 if readiness["ready"] else 503, readiness)
-            elif parsed.path == "/metrics":
-                query = urllib.parse.parse_qs(parsed.query)
-                if query.get("format", ["json"])[-1] == "text":
-                    self._send_text(200, render_text_metrics(client.metrics()))
-                else:
-                    self._send(200, client.metrics())
-            elif self.path == "/kinds":
-                self._send(200, client.kinds())
-            elif self.path == "/scenarios":
-                self._send(200, client.scenarios())
-            else:
-                self._send(404, {"error": f"no such endpoint: {self.path}"})
-
-    def do_POST(self) -> None:
-        with self.server.track_request():
-            if self.path != "/query":
-                self._send(404, {"error": f"no such endpoint: {self.path}"})
-                return
-            if self.server.draining:
-                # Rejected at the door: the drain sequence counts this
-                # handler thread, but the engine never sees the query.
-                self._send_error(ServiceDraining(
-                    "service is draining for shutdown; retry against "
-                    "another replica"
-                ))
-                return
-            try:
-                length = parse_content_length(
-                    self.headers.get("Content-Length")
-                )
-            except MalformedRequest as exc:
-                # The body's extent is unknown: answer, then close.
-                self.close_connection = True
-                self._send_error(exc)
-                return
-            try:
-                request = json.loads(self.rfile.read(length) or b"{}")
-                kind = request["kind"]
-                params = request.get("params") or {}
-                scenario = request.get("scenario")
-                deadline_ms = request.get("deadline_ms")
-            except (ValueError, KeyError, TypeError) as exc:
-                self._send(400, {"error": f"malformed query request: {exc}"})
-                return
-            try:
-                # The wire header (an upstream hop's remaining budget)
-                # wins over the body field (a direct client's ask).
-                budget = parse_deadline_header(
-                    self.headers.get(DEADLINE_HEADER)
-                )
-                if budget is None and deadline_ms is not None:
-                    budget = DeadlineBudget(parse_deadline_ms(deadline_ms))
-            except QueryValidationError as exc:
-                self.server.client.engine.metrics.inc("invalid")
-                self._send_error(exc)
-                return
-            store = self.headers.get(NO_STORE_HEADER, "") in ("", "0")
-            try:
-                response = self.server.client.query(
-                    kind, params, scenario=scenario, budget=budget,
-                    store=store,
-                )
-            except ReproError as exc:
-                self._send_error(exc)
-            else:
-                payload = response.to_dict()
-                payload["ok"] = True
-                extra = (
-                    {RESULT_DIGEST_HEADER: response.digest}
-                    if response.digest
-                    else None
-                )
-                self._send(200, payload, extra_headers=extra)
-
-
-class ServeHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one started :class:`ServeClient`.
-
-    Tracks its in-flight request count so a graceful shutdown can wait
-    for the handler threads — ``daemon_threads`` means nobody else
-    will — and carries the ``draining`` flag the handlers consult to
-    turn new ``/query`` work away with 503 + ``Retry-After``.
-    """
-
-    daemon_threads = True
-    # The stdlib's listen backlog of 5 resets connections when a burst
-    # of clients connects at once; a burst must reach the engine, which
-    # sheds with typed 429s instead.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        client: ServeClient,
-        *,
-        verbose: bool = False,
-    ) -> None:
+    def __init__(self, client: ServeClient, *, verbose: bool = False) -> None:
+        super().__init__(verbose=verbose)
         self.client = client
-        self.verbose = verbose
-        self.draining = False
-        self._active_lock = threading.Lock()
-        self._active_requests = 0
-        super().__init__(address, _Handler)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def track_request(self) -> "_RequestTracker":
-        return _RequestTracker(self)
-
-    def active_requests(self) -> int:
-        with self._active_lock:
-            return self._active_requests
 
     def begin_drain(self) -> None:
-        """Flip to draining: ``/readyz`` answers 503, new ``/query``
-        requests are turned away, the engine stops admitting work."""
-        self.draining = True
+        """Flip to draining: ``/readyz`` answers 503 and the engine turns
+        new ``/query`` work away with 503 + ``Retry-After``."""
+        super().begin_drain()
         self.client.begin_drain()
 
-    def await_quiescence(self, timeout_s: float) -> bool:
-        """Wait for the in-flight HTTP handlers to finish (``True``) or
-        the deadline (``False``)."""
-        deadline = time.monotonic() + timeout_s
-        while self.active_requests() > 0:
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-        return True
+    async def respond(self, request: Request) -> Response:
+        engine = self.client.engine
+        target = urllib.parse.urlsplit(request.target)
+        if request.method == "POST" and target.path == "/query":
+            return await self._query(request)
+        listing = {
+            "/healthz": engine.health,
+            "/readyz": engine.readiness,
+            "/metrics": engine.metrics.snapshot,
+            "/kinds": engine.registry.describe,
+            "/scenarios": engine.describe_scenarios,
+        }.get(target.path)
+        if request.method != "GET" or listing is None:
+            return json_response(
+                404, {"error": f"no such endpoint: {request.target}"}
+            )
+        payload = listing()
+        fmt = urllib.parse.parse_qs(target.query).get("format", [""])[-1]
+        if target.path == "/metrics" and fmt == "text":
+            return text_response(200, render_text_metrics(payload))
+        not_ready = target.path == "/readyz" and not payload["ready"]
+        return json_response(503 if not_ready else 200, payload)
 
-
-class _RequestTracker:
-    def __init__(self, server: ServeHTTPServer) -> None:
-        self._server = server
-
-    def __enter__(self) -> None:
-        with self._server._active_lock:
-            self._server._active_requests += 1
-
-    def __exit__(self, *exc: Any) -> None:
-        with self._server._active_lock:
-            self._server._active_requests -= 1
+    async def _query(self, request: Request) -> Response:
+        try:
+            body = json.loads(request.body or b"{}")
+            kind, params = body["kind"], body.get("params") or {}
+        except (ValueError, KeyError, TypeError) as exc:
+            return json_response(
+                400, {"error": f"malformed query request: {exc}"}
+            )
+        engine = self.client.engine
+        try:
+            # The wire header (an upstream hop's remaining budget) wins
+            # over the body field (a direct client's ask).
+            budget = parse_deadline_header(request.header(DEADLINE_HEADER))
+            if budget is None and body.get("deadline_ms") is not None:
+                budget = DeadlineBudget(parse_deadline_ms(body["deadline_ms"]))
+        except QueryValidationError:
+            engine.metrics.inc("invalid")
+            raise
+        response = await engine.submit(
+            kind, params, scenario=body.get("scenario"), budget=budget,
+            store=request.header(NO_STORE_HEADER) in (None, "", "0"),
+        )
+        payload = response.to_dict()
+        payload["ok"] = True
+        headers = (
+            {RESULT_DIGEST_HEADER: response.digest} if response.digest else {}
+        )
+        return json_response(200, payload, headers)
 
 
 def make_server(
@@ -379,15 +168,17 @@ def make_server(
     verbose: bool = False,
     **engine_kwargs: Any,
 ) -> ServeHTTPServer:
-    """Build a server (and, unless given one, a started client).
+    """Build a bound server (and, unless given one, a started client).
 
     ``port=0`` binds an ephemeral port — read ``server.url`` for the
-    actual address.  The caller owns shutdown: ``server.shutdown()``
-    then ``server.client.close()``.
+    actual address.  Serving begins at ``server.start()``.  The caller
+    owns shutdown: ``server.stop()`` then ``server.client.close()``.
     """
     if client is None:
         client = ServeClient(**engine_kwargs).start()
-    return ServeHTTPServer((host, port), client, verbose=verbose)
+    server = ServeHTTPServer(client, verbose=verbose)
+    server.listen(host, port, client.loop)
+    return server
 
 
 def _flag_value(args: list[str], flag: str, what: str) -> str | None:
@@ -467,8 +258,7 @@ def register_scenario_files(server: ServeHTTPServer,
         try:
             spec = server.client.engine.register_scenario(load_scenario(path))
         except ScenarioError as exc:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             server.client.close()
             raise SystemExit(f"--scenario {path}: {exc}")
         print(
@@ -508,6 +298,25 @@ def restore_snapshot(server: ServeHTTPServer, snapshot_file: str) -> None:
               flush=True)
 
 
+def shutdown_event(announce: str) -> threading.Event:
+    """An event the first SIGTERM/SIGINT sets, printing ``received
+    SIG…; <announce>``.  Later signals are ignored: the drain deadline
+    bounds shutdown either way."""
+    import signal
+
+    event = threading.Event()
+
+    def _request_shutdown(signum: int, _frame: Any) -> None:
+        if not event.is_set():
+            print(f"received {signal.Signals(signum).name}; {announce}",
+                  flush=True)
+            event.set()
+
+    signal.signal(signal.SIGTERM, _request_shutdown)
+    signal.signal(signal.SIGINT, _request_shutdown)
+    return event
+
+
 def run_serve_loop(
     server: ServeHTTPServer,
     *,
@@ -526,29 +335,11 @@ def run_serve_loop(
     the cache snapshot every ``snapshot_interval`` seconds so a
     SIGKILL'd worker still reboots warm from its last flush, and on the
     first signal run the drain sequence: refuse new work, wait for
-    in-flight queries and their HTTP handler threads, flush the final
+    in-flight queries and the requests carrying them, flush the final
     snapshot, exit cleanly.
     """
-    import signal
-
-    shutdown_requested = threading.Event()
-
-    def _request_shutdown(signum: int, _frame: Any) -> None:
-        if not shutdown_requested.is_set():
-            print(
-                f"received {signal.Signals(signum).name}; "
-                f"draining (grace {drain_timeout:g}s)",
-                flush=True,
-            )
-            shutdown_requested.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
-    serve_thread = threading.Thread(
-        target=server.serve_forever, name=f"{name}-http", daemon=True
-    )
-    serve_thread.start()
+    shutdown_requested = shutdown_event(f"draining (grace {drain_timeout:g}s)")
+    server.start()
     print(banner or f"{name} listening on {server.url}", flush=True)
 
     if snapshot_file is not None and snapshot_interval > 0:
@@ -572,9 +363,9 @@ def run_serve_loop(
     shutdown_requested.wait()
 
     # The drain sequence: refuse new work first, then wait for what is
-    # already running — engine in-flight queries AND the HTTP handler
-    # threads carrying their responses (daemon threads; nobody else
-    # waits for them) — then flush the cache and exit cleanly.
+    # already running — engine in-flight queries AND the HTTP requests
+    # still writing their responses — then flush the cache and exit
+    # cleanly.
     t0 = time.monotonic()
     server.begin_drain()
     engine_idle = server.client.drain(drain_timeout)
@@ -603,9 +394,7 @@ def run_serve_loop(
                 f"({flushed} entries)",
                 flush=True,
             )
-    server.shutdown()
-    serve_thread.join()
-    server.server_close()
+    server.stop()
     server.client.close()
     print(f"{name} exited cleanly", flush=True)
     return 0

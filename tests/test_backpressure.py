@@ -54,13 +54,10 @@ def tiny_server():
             cache_size=0, default_timeout_s=0.5,
         ).start(),
     )
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv.start()
     yield srv
-    srv.shutdown()
-    srv.server_close()
+    srv.stop()
     srv.client.close()
-    thread.join()
 
 
 class TestStatusTable:

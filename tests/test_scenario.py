@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import threading
 
 import pytest
 
@@ -299,13 +298,10 @@ class TestServeRoundTrip:
         from repro.serve.http import make_server
 
         srv = make_server(port=0, workers=2, cache_size=64)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        srv.start()
         yield srv
-        srv.shutdown()
-        srv.server_close()
+        srv.stop()
         srv.client.close()
-        thread.join()
 
     def test_direct_engine_and_http_answers_are_identical(self, server):
         from repro.serve import HttpServeClient

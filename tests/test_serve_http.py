@@ -23,8 +23,9 @@ import pytest
 from repro.cluster import HashRing, ShardTable
 from repro.cluster.router import ClusterRouter
 from repro.errors import QueryValidationError, ServeError
-from repro.serve import HttpServeClient
+from repro.serve import HttpServeClient, ServeClient
 from repro.serve.http import MAX_BODY_BYTES, main, make_server
+from repro.serve.wire import MAX_HEADER_LINES, MAX_LINE_BYTES
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -39,13 +40,10 @@ PANEL_SCENARIOS = {
 @pytest.fixture(scope="module")
 def server():
     srv = make_server(port=0, workers=2, cache_size=64)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv.start()
     yield srv
-    srv.shutdown()
-    srv.server_close()
+    srv.stop()
     srv.client.close()
-    thread.join()
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +246,40 @@ class TestRequestFraming:
         )
         assert health == 200 and body["ok"] is True
 
+    @pytest.mark.parametrize(
+        "raw, status, code",
+        [
+            (b"GARBAGE\r\n\r\n", 400, "malformed_request"),
+            (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n",
+             400, "malformed_request"),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"X-Filler: 1\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n",
+             431, "headers_too_large"),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: "
+             + b"a" * (MAX_LINE_BYTES + 1) + b"\r\n\r\n",
+             431, "headers_too_large"),
+        ],
+        ids=["request-line", "no-colon", "too-many-headers", "long-line"],
+    )
+    def test_bad_framing_is_typed_and_closes(
+        self, front_door, raw, status, code
+    ):
+        address = urllib.parse.urlsplit(front_door)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=10
+        ) as sock:
+            sock.sendall(raw)
+            got, payload = _read_response(sock)
+            assert (got, payload["code"]) == (status, code)
+            try:
+                assert sock.recv(1) == b""  # the server closed
+            except ConnectionResetError:
+                pass  # closed with part of the request unread
+        health, body = _exchange(
+            front_door, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert health == 200 and body["ok"] is True
+
     def test_router_stop_with_keep_alive_connection_logs_nothing(
         self, caplog, monkeypatch
     ):
@@ -268,6 +300,64 @@ class TestRequestFraming:
         )
         assert "Event loop is closed" not in logged, logged
         assert "destroyed but it is pending" not in logged, logged
+
+
+class TestRouterWireSemantics:
+    def test_malformed_worker_reply_is_a_shard_transport_failure(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def fake_worker():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n"
+                )
+                conn.recv(1)  # until the router closes its end
+
+        worker = threading.Thread(target=fake_worker, daemon=True)
+        worker.start()
+        table = ShardTable([0])
+        table.mark_up(
+            0, "http://127.0.0.1:%d" % listener.getsockname()[1], pid=None
+        )
+        router = ClusterRouter(
+            table, HashRing([0], vnodes=16, seed=0), spill=0
+        ).start()
+        try:
+            body = json.dumps({
+                "kind": "me_speedup", "params": {"device": "v100"},
+            }).encode()
+            status, payload = _exchange(router.url, (
+                b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            ))
+            assert (status, payload["code"]) == (503, "shard_unavailable")
+            assert router.counters["shard_errors"].value == 1
+            worker.join(timeout=10)
+            assert not worker.is_alive()  # the pooled socket was closed
+        finally:
+            router.stop()
+            listener.close()
+
+    def test_router_and_engine_list_scenarios_identically(self):
+        from repro.scenario import load_scenario
+
+        examples = ARTIFACTS.parent / "examples" / "scenarios"
+        spec = load_scenario(examples / "int8_matrix_engine.json")
+        engine = ServeClient(cache_size=4).start()
+        router = ClusterRouter(
+            ShardTable([0]), HashRing([0], vnodes=16, seed=0),
+            scenarios={spec.name: spec},
+        ).start()
+        try:
+            engine.engine.register_scenario(spec)
+            listing = HttpServeClient(router.url).scenarios()
+            assert listing == engine.engine.describe_scenarios()
+            assert set(listing) == {spec.name}
+        finally:
+            router.stop()
+            engine.close()
 
 
 class TestConcurrentHttp:

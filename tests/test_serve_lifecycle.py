@@ -63,13 +63,10 @@ class TestHttpDrain:
     @pytest.fixture()
     def server(self):
         srv = make_server(port=0, workers=2)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
+        srv.start()
         yield srv
-        srv.shutdown()
-        srv.server_close()
+        srv.stop()
         srv.client.close()
-        thread.join()
 
     def test_query_rejected_with_retry_after(self, server):
         server.begin_drain()

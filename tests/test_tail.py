@@ -357,13 +357,10 @@ def nap_server():
         registry=_nap_registry(), workers=1, cache_size=4,
         default_timeout_s=5.0,
     ).start())
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv.start()
     yield srv
-    srv.shutdown()
-    srv.server_close()
+    srv.stop()
     srv.client.close()
-    thread.join()
 
 
 def _raw_post(url, body, headers=None):
