@@ -15,12 +15,14 @@ The pieces:
   (virtual nodes; minimal key movement on membership change);
 * :mod:`~repro.cluster.protocol` — routing keys, shard state table,
   worker banners, metrics aggregation;
-* :mod:`~repro.cluster.worker` — one shard: the full serve engine with
-  periodic snapshot flushes for SIGKILL-survivable warmth;
 * :mod:`~repro.cluster.router` — the asyncio front door: breaker-aware
   routing with bounded spill-over and aggregated ``/metrics``;
-* :mod:`~repro.cluster.supervisor` — spawn/watch/restart/drain;
-* :mod:`~repro.cluster.cli` — the ``--cluster`` command line.
+* :mod:`~repro.cluster.supervisor` — spawn/watch/restart/drain.  Each
+  worker it spawns is ``python -m repro.serve.http --shard-id K``: the
+  full serve engine owning one shard, flushing its snapshot
+  periodically for SIGKILL-survivable warmth.
+
+The ``--cluster`` command line is :func:`repro.serve.http.main`'s.
 """
 
 from repro.cluster.protocol import (

@@ -35,6 +35,7 @@ from repro.cluster.protocol import ShardTable, parse_worker_banner
 from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterRouter
 from repro.errors import ClusterError
+from repro.serve.http import load_scenario_files
 
 __all__ = ["ClusterSupervisor"]
 
@@ -43,6 +44,12 @@ __all__ = ["ClusterSupervisor"]
 #: one-off kill restarts almost immediately.
 RESTART_BACKOFF_MIN_S = 0.2
 RESTART_BACKOFF_MAX_S = 5.0
+
+#: How often a worker checkpoints its result cache to the shard
+#: snapshot when ``snapshot_interval_s`` is ``None``.  Frequent
+#: enough that a crashed worker's warm boot is minutes-fresh at worst,
+#: cheap enough to be noise (the snapshot is a few KB of JSON).
+DEFAULT_SNAPSHOT_INTERVAL_S = 5.0
 
 
 class _WorkerProc:
@@ -53,7 +60,8 @@ class _WorkerProc:
         self.shard_id = shard_id
         self.proc = proc
         self.url: str | None = None
-        self.banner_seen = threading.Event()
+        #: Set by the banner, or by EOF once the worker has exited.
+        self.settled = threading.Event()
         self.log: deque[str] = deque(maxlen=400)
         self._verbose = verbose
         self.reader = threading.Thread(
@@ -67,16 +75,23 @@ class _WorkerProc:
         for line in self.proc.stdout:
             line = line.rstrip("\n")
             self.log.append(line)
-            if not self.banner_seen.is_set():
+            if not self.settled.is_set():
                 parsed = parse_worker_banner(line)
                 if parsed is not None and parsed[0] == self.shard_id:
                     self.url = parsed[1]
-                    self.banner_seen.set()
+                    self.settled.set()
             if self._verbose:
                 print(f"[shard {self.shard_id}] {line}", flush=True)
+        # EOF: the worker is gone.  Reap it, so a worker that dies
+        # before its banner fails the boot at once, with its exit code.
+        self.proc.wait()
+        self.settled.set()
 
     def wait_banner(self, timeout_s: float) -> bool:
-        return self.banner_seen.wait(timeout_s)
+        """Wait for the banner; ``False`` on timeout or if the worker
+        exits first."""
+        self.settled.wait(timeout_s)
+        return self.url is not None
 
 
 class ClusterSupervisor:
@@ -99,7 +114,6 @@ class ClusterSupervisor:
         snapshot_interval_s: float | None = None,
         drain_timeout_s: float = 10.0,
         spill: int = 1,
-        ring_vnodes: int = 128,
         ring_seed: int = 0,
         hedge: bool = True,
         hedge_ratio: float = 0.05,
@@ -119,31 +133,48 @@ class ClusterSupervisor:
                 f"--fault-plan-shard expects a shard id in "
                 f"[0, {cluster_size}), got {fault_plan_shard}"
             )
+        if snapshot_interval_s is None:
+            snapshot_interval_s = DEFAULT_SNAPSHOT_INTERVAL_S
         self.cluster_size = cluster_size
         self.host = host
         self.port = port
-        self.handler_concurrency = handler_concurrency
-        self.queue_size = queue_size
-        self.cache_size = cache_size
-        self.timeout_s = timeout_s
         self.scenario_files = list(scenario_files or [])
         self.fault_plan_file = fault_plan_file
         self.fault_plan_shard = fault_plan_shard
         self.snapshot_dir = snapshot_dir
-        self.snapshot_interval_s = snapshot_interval_s
         self.drain_timeout_s = drain_timeout_s
         self.boot_timeout_s = boot_timeout_s
-        self.verify_sample_rate = verify_sample_rate
-        self.scrub_interval_s = scrub_interval_s
         self.verbose = verbose
+        # The settings every worker shares, spelled out once as argv.
+        self._worker_args = [
+            "--host", "127.0.0.1",
+            "--port", "0",
+            "--handler-concurrency", str(handler_concurrency),
+            "--queue-size", str(queue_size),
+            "--cache-size", str(cache_size),
+            "--timeout", str(timeout_s),
+            "--drain-timeout", str(drain_timeout_s),
+            "--verify-sample-rate", str(verify_sample_rate),
+            "--scrub-interval", str(scrub_interval_s),
+            "--snapshot-interval", str(snapshot_interval_s),
+        ]
+        for path in self.scenario_files:
+            self._worker_args += ["--scenario", path]
+        if verbose:
+            self._worker_args.append("--verbose")
 
         shard_ids = list(range(cluster_size))
         self.table = ShardTable(shard_ids)
-        self.ring = HashRing(shard_ids, vnodes=ring_vnodes, seed=ring_seed)
+        self.ring = HashRing(shard_ids, seed=ring_seed)
         self.router = ClusterRouter(
             self.table,
             self.ring,
-            scenarios=self._load_scenarios(),
+            # Parsed once for the router's /scenarios listing (each
+            # worker registers its own copy); a bad spec fails the boot.
+            scenarios={
+                spec.name: spec
+                for spec in load_scenario_files(self.scenario_files)
+            },
             spill=spill,
             hedge=hedge,
             hedge_ratio=hedge_ratio,
@@ -154,24 +185,6 @@ class ClusterSupervisor:
         self._lock = threading.Lock()
         self._stopping = threading.Event()
         self._monitor_thread: threading.Thread | None = None
-
-    def _load_scenarios(self) -> dict[str, Any]:
-        """Parse the ``--scenario`` files once for the router's
-        ``/scenarios`` listing (each worker registers its own copy);
-        a bad spec fails the whole cluster boot, loudly."""
-        if not self.scenario_files:
-            return {}
-        from repro.errors import ScenarioError
-        from repro.scenario import load_scenario
-
-        specs: dict[str, Any] = {}
-        for path in self.scenario_files:
-            try:
-                spec = load_scenario(path)
-            except ScenarioError as exc:
-                raise SystemExit(f"--scenario {path}: {exc}")
-            specs[spec.name] = spec
-        return specs
 
     # -- boot ----------------------------------------------------------------
 
@@ -186,20 +199,10 @@ class ClusterSupervisor:
 
     def _worker_cmd(self, shard_id: int) -> list[str]:
         cmd = [
-            sys.executable, "-m", "repro.cluster.worker",
+            sys.executable, "-m", "repro.serve.http",
             "--shard-id", str(shard_id),
-            "--host", "127.0.0.1",
-            "--port", "0",
-            "--handler-concurrency", str(self.handler_concurrency),
-            "--queue-size", str(self.queue_size),
-            "--cache-size", str(self.cache_size),
-            "--timeout", str(self.timeout_s),
-            "--drain-timeout", str(self.drain_timeout_s),
-            "--verify-sample-rate", str(self.verify_sample_rate),
-            "--scrub-interval", str(self.scrub_interval_s),
+            *self._worker_args,
         ]
-        for path in self.scenario_files:
-            cmd += ["--scenario", path]
         if self.fault_plan_file is not None and (
             self.fault_plan_shard is None
             or self.fault_plan_shard == shard_id
@@ -210,10 +213,6 @@ class ClusterSupervisor:
         snapshot_file = self._snapshot_file(shard_id)
         if snapshot_file is not None:
             cmd += ["--cache-snapshot", snapshot_file]
-            if self.snapshot_interval_s is not None:
-                cmd += ["--snapshot-interval", str(self.snapshot_interval_s)]
-        if self.verbose:
-            cmd.append("--verbose")
         return cmd
 
     def _spawn(self, shard_id: int) -> _WorkerProc:
@@ -249,11 +248,15 @@ class ClusterSupervisor:
         deadline = time.monotonic() + self.boot_timeout_s
         for worker in workers:
             if not worker.wait_banner(max(0.1, deadline - time.monotonic())):
+                code = worker.proc.returncode  # set once the worker exited
                 tail = "\n".join(list(worker.log)[-20:])
                 self.stop(drain=False)
+                if code is None:
+                    why = f"did not come up within {self.boot_timeout_s:g}s"
+                else:
+                    why = f"exited with code {code} before its banner"
                 raise ClusterError(
-                    f"shard {worker.shard_id} did not come up within "
-                    f"{self.boot_timeout_s:g}s; last output:\n{tail}"
+                    f"shard {worker.shard_id} {why}; last output:\n{tail}"
                 )
             self.table.mark_up(worker.shard_id, worker.url, worker.proc.pid)
             print(

@@ -6,6 +6,7 @@ selects specific ones.  Output is plain text in the paper's layouts.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.harness import figures, tables
@@ -131,19 +132,6 @@ def run_all(
             f"{len(run.failures)} artefact(s) did not complete — {detail}"
         )
     return run.results
-
-
-def _flag_value(args: list[str], flag: str, what: str) -> str | None:
-    """Pop ``flag VALUE`` from ``args``; SystemExit when VALUE is missing."""
-    if flag not in args:
-        return None
-    idx = args.index(flag)
-    try:
-        value = args[idx + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} requires {what}")
-    del args[idx : idx + 2]
-    return value
 
 
 def _print_results(results: dict[str, dict]) -> None:
@@ -447,93 +435,99 @@ def _resume(outdir: str, jobs: int) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` values: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-paper`` command line."""
+    parser = argparse.ArgumentParser(prog="repro-paper", add_help=False)
+    add = parser.add_argument
+    add("artifacts", nargs="*", metavar="artefact",
+        help="artefacts to regenerate (default: all): "
+        + " ".join(sorted(ARTIFACTS)))
+    add("-h", "--help", action="store_true", help="show this help and exit")
+    add("--version", action="store_true", help="print the version and exit")
+    add("--output", metavar="DIR",
+        help="write text/JSON/CSV files plus manifest.json")
+    add("--jobs", type=_jobs, metavar="N",
+        help="parallel workers for the artefact pipeline (default 1)")
+    add("--scenario", metavar="FILE", help="run under a what-if overlay")
+    add("--fault-plan", metavar="FILE", help="inject a chaos experiment")
+    add("--resume", metavar="DIR", help="re-run the failed/torn/corrupt "
+        "artefacts of a previous --output (takes only --jobs)")
+    add("--verify", metavar="DIR", help="audit artefacts against their "
+        "checksums, quarantining corrupt files (takes only --json)")
+    add("--json", action="store_true", help="with --verify: one JSON "
+        "report on stdout (exit 0 all ok, 1 damage, 2 usage error)")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Console entry point."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] in ("-h", "--help"):
-        print(
-            "usage: repro-paper [--output DIR] [--jobs N] [--scenario FILE] "
-            "[--fault-plan FILE] [artefact ...]"
-        )
-        print("       repro-paper --resume DIR [--jobs N]")
-        print("       repro-paper --verify DIR [--json]")
-        print("artefacts:", " ".join(sorted(ARTIFACTS)))
-        print("options:")
-        print("  --output DIR      write text/JSON/CSV files plus manifest.json")
-        print("  --jobs N          parallel workers for the artefact pipeline")
-        print("  --scenario FILE   run under a what-if overlay (JSON ScenarioSpec)")
-        print("  --fault-plan FILE inject a chaos experiment (JSON FaultPlan)")
-        print("  --resume DIR      re-run the failed/torn/corrupt artefacts of "
-              "a previous --output")
-        print("  --verify DIR      audit artefacts against manifest + journal "
-              "checksums; quarantine corrupt files")
-        print("  --json            with --verify: one machine-readable JSON "
-              "report on stdout (exit 0 all ok, 1 damage, 2 usage error)")
-        print("  --version         print the package version and exit")
+    parser = build_parser()
+    # Intermixed: artefact names may come before, after or between flags.
+    args = parser.parse_intermixed_args(argv)
+    if args.help:
+        parser.print_help()
         return 0
-    if "--version" in args:
+    if args.version:
         from repro import package_version
 
         print(f"repro-paper {package_version()}")
         return 0
-    outdir = _flag_value(args, "--output", "a directory argument")
-    jobs_arg = _flag_value(args, "--jobs", "an integer argument")
-    scenario_arg = _flag_value(args, "--scenario", "a JSON file argument")
-    fault_arg = _flag_value(args, "--fault-plan", "a JSON file argument")
-    resume_arg = _flag_value(args, "--resume", "a directory argument")
-    verify_arg = _flag_value(args, "--verify", "a directory argument")
-    json_report = "--json" in args
-    if json_report:
-        args.remove("--json")
-    jobs = 1
-    if jobs_arg is not None:
-        try:
-            jobs = int(jobs_arg)
-        except ValueError:
-            raise SystemExit(f"--jobs expects an integer, got {jobs_arg!r}")
-    if verify_arg is not None:
-        if (args or outdir or scenario_arg or fault_arg or resume_arg
-                or jobs_arg is not None):
-            raise SystemExit(
-                "--verify audits an existing directory and takes no "
-                "option other than --json"
-            )
-        return _verify(verify_arg, as_json=json_report)
-    if json_report:
-        raise SystemExit("--json is only meaningful with --verify DIR")
-    if resume_arg is not None:
-        if args or outdir or scenario_arg or fault_arg:
-            raise SystemExit(
-                "--resume takes only --jobs; the artefact selection, "
-                "scenario and output directory come from the manifest"
-            )
-        return _resume(resume_arg, jobs)
+    run_flags = (args.artifacts or args.output or args.scenario
+                 or args.fault_plan)
+    if args.verify is not None:
+        if run_flags or args.resume is not None or args.jobs is not None:
+            parser.error("--verify audits an existing directory and takes "
+                         "no option other than --json")
+        return _verify(args.verify, as_json=args.json)
+    if args.json:
+        parser.error("--json is only meaningful with --verify DIR")
+    jobs = args.jobs or 1
+    if args.resume is not None:
+        if run_flags:
+            parser.error("--resume takes only --jobs; the artefact "
+                         "selection, scenario and output directory come "
+                         "from the manifest")
+        return _resume(args.resume, jobs)
+    unknown = [name for name in args.artifacts if name not in ARTIFACTS]
+    if unknown:
+        parser.error(f"unknown artefact {unknown[0]!r}; known: "
+                     f"{sorted(ARTIFACTS)}")
+    outdir = args.output
     scenario = None
-    if scenario_arg is not None:
+    if args.scenario is not None:
         from repro.errors import ScenarioError
         from repro.scenario import load_scenario
 
         try:
-            scenario = load_scenario(scenario_arg)
+            scenario = load_scenario(args.scenario)
         except ScenarioError as exc:
             raise SystemExit(f"--scenario: {exc}")
     fault_plan = None
-    if fault_arg is not None:
+    if args.fault_plan is not None:
         from repro.errors import FaultPlanError
         from repro.resilience import load_fault_plan
 
         try:
-            fault_plan = load_fault_plan(fault_arg)
+            fault_plan = load_fault_plan(args.fault_plan)
         except FaultPlanError as exc:
             raise SystemExit(f"--fault-plan: {exc}")
     from repro.harness.pipeline import run_pipeline
 
-    try:
-        run = run_pipeline(
-            args or None, jobs=jobs, scenario=scenario, fault_plan=fault_plan
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    run = run_pipeline(
+        args.artifacts or None, jobs=jobs, scenario=scenario,
+        fault_plan=fault_plan,
+    )
     _print_results(run.results)
     cache = run.manifest["cache"]
     scenario_note = ""

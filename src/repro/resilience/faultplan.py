@@ -121,6 +121,18 @@ class FaultRule:
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
+        for name in ("site", "kind", "message"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise FaultPlanError(
+                    f"fault rule {name} must be a string, got "
+                    f"{type(value).__name__}"
+                )
+        if isinstance(self.times, bool) or not isinstance(self.times, int):
+            raise FaultPlanError(
+                f"rule {self.site!r}: times must be an integer, got "
+                f"{type(self.times).__name__}"
+            )
         if not self.site:
             raise FaultPlanError("fault rule needs a non-empty site")
         if self.kind not in _KINDS:
@@ -234,6 +246,11 @@ def fault_plan_from_dict(data: Mapping[str, Any]) -> FaultPlan:
             f"fault plan: unknown key {unknown[0]!r}; accepts {sorted(plan_fields)}"
         )
     rule_fields = {f.name for f in dataclasses.fields(FaultRule)}
+    if not isinstance(data.get("rules", []), list):
+        raise FaultPlanError(
+            f"fault plan: rules must be a list, got "
+            f"{type(data['rules']).__name__}"
+        )
     rules = []
     for i, raw in enumerate(data.get("rules", ())):
         if not isinstance(raw, Mapping):

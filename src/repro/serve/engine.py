@@ -122,6 +122,13 @@ SERVE_RETRY_POLICY = RetryPolicy(
     attempts=3, base_delay_s=0.005, multiplier=2.0, max_delay_s=0.05
 )
 
+#: Entry bound of the stale-while-revalidate store backing degraded answers.
+STALE_SIZE = 1024
+#: CoDel-style queue-delay target of the adaptive admission controller.
+ADMISSION_TARGET_S = 0.1
+#: Cache entries the scrubber verifies per event-loop slice.
+SCRUB_CHUNK = 16
+
 
 def describe_scenarios(scenarios: dict[str, ScenarioSpec]) -> dict[str, Any]:
     """JSON-encodable listing of named scenarios — the ``/scenarios``
@@ -345,19 +352,13 @@ class QueryEngine:
     breaker_threshold / breaker_recovery_s:
         Consecutive failures that open a per-kind (and per-substrate)
         circuit breaker, and how long it stays open before trialing.
-    stale_size:
-        Entry bound of the stale-while-revalidate store backing
-        degraded answers (0 disables degradation).
-    admission_target_s / admission_initial / admission_max:
-        The adaptive admission controller: an AIMD concurrency limit
-        per query kind, driven by observed queue delay against the
-        CoDel-style ``admission_target_s``.  Work above the limit is
-        shed with a fast typed 429 *before* queueing, so overload never
-        turns into a deep queue that blows every deadline.  The limit
-        floor is ``workers`` (the pool can always be kept busy);
-        ``admission_initial`` defaults to the queue bound — no a-priori
-        shedding; only measured delay cuts the limit — and
-        ``admission_max`` to twice it.
+
+    Admission is an AIMD concurrency limit per query kind, cut when
+    queue delay exceeds :data:`ADMISSION_TARGET_S`; work above it is shed
+    with a fast typed 429 *before* queueing, so overload never turns into
+    a deep queue that blows every deadline.  The limit starts at the
+    queue bound, never drops below ``workers``, and is capped at twice
+    the queue bound.
     """
 
     def __init__(
@@ -374,13 +375,8 @@ class QueryEngine:
         retry_policy: RetryPolicy = SERVE_RETRY_POLICY,
         breaker_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
-        stale_size: int = 1024,
-        admission_target_s: float = 0.1,
-        admission_initial: float | None = None,
-        admission_max: float | None = None,
         verify_sample_rate: float = 0.125,
         scrub_interval_s: float = 0.0,
-        scrub_chunk: int = 16,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -390,8 +386,6 @@ class QueryEngine:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if stale_size < 0:
-            raise ValueError(f"stale_size must be >= 0, got {stale_size}")
         if not 0.0 <= verify_sample_rate <= 1.0:
             raise ValueError(
                 f"verify_sample_rate must be in [0, 1], got {verify_sample_rate}"
@@ -400,8 +394,6 @@ class QueryEngine:
             raise ValueError(
                 f"scrub_interval_s must be >= 0, got {scrub_interval_s}"
             )
-        if scrub_chunk < 1:
-            raise ValueError(f"scrub_chunk must be >= 1, got {scrub_chunk}")
         if registry is None:
             from repro.serve.handlers import DEFAULT_REGISTRY
 
@@ -414,10 +406,8 @@ class QueryEngine:
         self.default_timeout_s = default_timeout_s
         self.metrics = metrics or Metrics()
         self.retry_policy = retry_policy
-        self.stale_size = stale_size
         self.verify_sample_rate = verify_sample_rate
         self.scrub_interval_s = scrub_interval_s
-        self.scrub_chunk = scrub_chunk
         # Seeded: verification sampling replays identically run to run,
         # so chaos drills at rate < 1 are still deterministic.
         self._verify_rng = random.Random(0)
@@ -447,21 +437,12 @@ class QueryEngine:
         # *observed* queue delay above target brings the limit down.
         # Starting lower would shed legitimate bursts a-priori, which
         # is the static-limit mistake this controller exists to avoid.
-        initial = (
-            float(max(2 * workers, max_queue))
-            if admission_initial is None
-            else float(admission_initial)
-        )
-        maximum = (
-            float(max(initial, 2 * max_queue))
-            if admission_max is None
-            else float(admission_max)
-        )
+        initial = float(max(2 * workers, max_queue))
         self._admission = AIMDLimiter(
             initial=initial,
             min_limit=float(min(workers, initial)),
-            max_limit=maximum,
-            target_delay_s=admission_target_s,
+            max_limit=float(max(initial, 2 * max_queue)),
+            target_delay_s=ADMISSION_TARGET_S,
         )
         self._created = time.perf_counter()
 
@@ -617,7 +598,7 @@ class QueryEngine:
         """Background patrol over the result cache (``scrub_interval_s``
         between passes): verify every envelope, quarantine what fails,
         resubmit it from its own provenance so the cache heals itself.
-        Bounded and polite — ``scrub_chunk`` entries per event-loop
+        Bounded and polite — :data:`SCRUB_CHUNK` entries per event-loop
         slice, and a pass yields whenever the admission queue has real
         work waiting (scrubbing is strictly lower priority)."""
         while True:
@@ -634,12 +615,12 @@ class QueryEngine:
         """One full verification sweep; returns the pass's tallies."""
         scanned = quarantined = recomputed = 0
         keys = list(self._cache.keys())
-        for start in range(0, len(keys), self.scrub_chunk):
+        for start in range(0, len(keys), SCRUB_CHUNK):
             # Yield between chunks, and back off while the queue holds
             # real traffic — the scrubber spends idle capacity only.
             while self._queue is not None and self._queue.qsize() > 0:
                 await asyncio.sleep(0.005)
-            for key in keys[start : start + self.scrub_chunk]:
+            for key in keys[start : start + SCRUB_CHUNK]:
                 entry = self._cache.get(key)
                 if entry is None:
                     continue  # evicted since the scan started
@@ -1104,13 +1085,12 @@ class QueryEngine:
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-        if self.stale_size > 0:
-            # The stale store backs degraded answers: bigger bound, never
-            # invalidated by load — only by LRU against stale_size.
-            self._stale[key] = envelope
-            self._stale.move_to_end(key)
-            while len(self._stale) > self.stale_size:
-                self._stale.popitem(last=False)
+        # The stale store backs degraded answers: bigger bound, never
+        # invalidated by load — only by LRU against STALE_SIZE.
+        self._stale[key] = envelope
+        self._stale.move_to_end(key)
+        while len(self._stale) > STALE_SIZE:
+            self._stale.popitem(last=False)
 
     def _seal(self, query: Query, value: Any) -> ResultEnvelope:
         """Seal a freshly verified answer into its cache envelope —

@@ -41,12 +41,13 @@ startup means a cold start, never a crash), and the process exits 0.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import threading
 import time
 import urllib.parse
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import QueryValidationError, ReproError
 
@@ -77,7 +78,8 @@ __all__ = [
     "make_server",
     "main",
     "run_serve_loop",
-    "parse_handler_concurrency",
+    "build_parser",
+    "load_scenario_files",
 ]
 
 #: Request header asking the engine not to cache the answer.  Sent by
@@ -181,59 +183,136 @@ def make_server(
     return server
 
 
-def _flag_value(args: list[str], flag: str, what: str) -> str | None:
-    """Pop ``flag VALUE`` from ``args``; SystemExit when VALUE is missing."""
-    if flag not in args:
-        return None
-    idx = args.index(flag)
-    try:
-        value = args[idx + 1]
-    except IndexError:
-        raise SystemExit(f"{flag} requires {what}")
-    del args[idx : idx + 2]
-    return value
+def _bounded(cast: type, low: float, high: float | None = None, *,
+             open_low: bool = False) -> Callable[[str], Any]:
+    """An argparse ``type`` that rejects values outside ``[low, high]``
+    (``(low, high]`` with ``open_low``; unbounded above by default)."""
+    noun = "an integer" if cast is int else "a number"
+    bound = (f">= {low:g}" if high is None
+             else f"in {'(' if open_low else '['}{low:g}, {high:g}]")
+
+    def convert(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {noun}, got {text!r}")
+        above = low < value if open_low else low <= value
+        if not (above and (high is None or value <= high)):  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    return convert
 
 
-def _int_flag(args: list[str], flag: str, default: int) -> int:
-    raw = _flag_value(args, flag, "an integer argument")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{flag} expects an integer, got {raw!r}")
+class _HandlerConcurrency(argparse.Action):
+    """``--handler-concurrency N``, or its deprecated ``--workers N``
+    spelling with a warning."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if option_string == "--workers":
+            print("warning: --workers is deprecated (it now means in-process "
+                  "handler concurrency, not cluster size); use "
+                  "--handler-concurrency N — or --cluster N for a sharded "
+                  "worker pool", file=sys.stderr, flush=True)
+        setattr(namespace, self.dest, values)
 
 
-def _float_flag(args: list[str], flag: str, default: float) -> float:
-    raw = _flag_value(args, flag, "a number of seconds")
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"{flag} expects a number, got {raw!r}")
+#: The flags only one side of ``--cluster`` takes: flag -> (whether it
+#: is the cluster's, its default there).  The parser leaves them
+#: ``None``, so :func:`_check_mode` can tell a flag given on the wrong
+#: side (a usage error naming it) from one left to default.
+_ONE_SIDED: dict[str, tuple[bool, Any]] = {
+    "--shard-id": (False, None),
+    "--cache-snapshot": (False, None),
+    "--fault-plan-shard": (True, None),
+    "--snapshot-dir": (True, None),
+    "--spill": (True, 1),
+    "--ring-seed": (True, 0),
+    "--no-hedge": (True, False),
+    "--hedge-ratio": (True, 0.05),
+}
 
 
-def parse_handler_concurrency(args: list[str], default: int = 4) -> int:
-    """Pop ``--handler-concurrency N`` (or its deprecated ``--workers``
-    alias, with a warning) from ``args``."""
-    concurrency = _int_flag(args, "--handler-concurrency", default)
-    if "--workers" in args:
-        legacy = _int_flag(args, "--workers", default)
-        print(
-            "warning: --workers is deprecated (it now means in-process "
-            "handler concurrency, not cluster size); use "
-            "--handler-concurrency N — or --cluster N for a sharded "
-            "worker pool",
-            file=sys.stderr,
-            flush=True,
-        )
-        concurrency = legacy
-    return concurrency
+def build_parser() -> argparse.ArgumentParser:
+    """The one ``repro-serve`` command line for all three modes: one
+    process (the default), ``--cluster N`` (router plus supervisor), and
+    the hidden ``--shard-id K`` each worker the supervisor spawns gets."""
+    count, seconds = _bounded(int, 1), _bounded(float, 0)
+    parser = argparse.ArgumentParser(
+        prog="repro-serve", add_help=False,
+        description="Serve the cost-benefit model over HTTP, from one "
+        "process or from N shards behind a consistent-hash router.",
+    )
+    add = parser.add_argument
+    add("-h", "--help", action="store_true", help="show this help and exit")
+    add("--version", action="store_true", help="print the version and exit")
+    add("--host", default="127.0.0.1",
+        help="bind address (default %(default)s)")
+    add("--port", type=int, default=8077,
+        help="bind port; 0 picks one (default %(default)s)")
+    add("--handler-concurrency", "--workers", type=count, default=4,
+        action=_HandlerConcurrency, metavar="N", help="concurrent handler "
+        "evaluations (default %(default)s; --workers is deprecated)")
+    add("--queue-size", type=count, default=128, metavar="N",
+        help="admission-queue bound per process (default %(default)s)")
+    add("--cache-size", type=_bounded(int, 0), default=256, metavar="N",
+        help="result-cache entries per process (default %(default)s)")
+    add("--timeout", type=seconds, default=30.0, metavar="SECONDS",
+        help="per-query deadline (default %(default)g)")
+    add("--scenario", action="append", default=[], metavar="FILE",
+        help="register a named what-if overlay (repeatable)")
+    add("--fault-plan", metavar="FILE", help="inject a chaos experiment")
+    add("--cache-snapshot", metavar="FILE",
+        help="warm the cache from FILE at startup (damaged entries "
+        "quarantined) and flush it back on graceful shutdown")
+    add("--snapshot-interval", type=seconds, metavar="SECONDS",
+        help="also flush the snapshot periodically; 0 disables (default 0, "
+        "or 5 with --cluster)")
+    add("--verify-sample-rate", type=_bounded(float, 0, 1), default=0.125,
+        metavar="R", help="fraction of cache hits whose digest is "
+        "re-verified before serving (default %(default)g)")
+    add("--scrub-interval", type=seconds, default=0.0, metavar="SECONDS",
+        help="background cache-scrubber pass interval; 0 disables (default 0)")
+    add("--drain-timeout", type=seconds, default=10.0, metavar="SECONDS",
+        help="in-flight grace on SIGTERM/SIGINT (default %(default)g)")
+    add("--verbose", action="store_true",
+        help="log every request (with --cluster: and forward worker logs)")
+    add("--shard-id", type=_bounded(int, 0), help=argparse.SUPPRESS)
+    add = parser.add_argument_group("cluster mode").add_argument
+    add("--cluster", type=count, metavar="N",
+        help="serve through N sharded worker processes")
+    add("--fault-plan-shard", type=int, metavar="K",
+        help="apply --fault-plan only in shard K")
+    add("--snapshot-dir", metavar="DIR",
+        help="per-shard cache snapshots (DIR/shard-K.json)")
+    add("--spill", type=_bounded(int, 0), metavar="N",
+        help="ring neighbours to try past an unavailable shard (default 1)")
+    add("--ring-seed", type=int, metavar="N",
+        help="consistent-hash ring seed (default 0)")
+    add("--no-hedge", action="store_true", default=None,
+        help="never race a slow shard's ring neighbour")
+    add("--hedge-ratio", type=_bounded(float, 0, 1, open_low=True),
+        metavar="R",
+        help="cap hedged requests at R of all requests (default 0.05)")
+    return parser
+
+
+def _check_mode(parser: argparse.ArgumentParser,
+                args: argparse.Namespace) -> None:
+    """Fill in the one-sided flags' defaults; a flag the mode does not
+    take is a usage error (exit 2) naming the flag."""
+    cluster = args.cluster is not None
+    for flag, (cluster_flag, default) in _ONE_SIDED.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif cluster_flag != cluster:
+            side = "with" if cluster else "without"
+            parser.error(f"{flag} is not accepted {side} --cluster")
 
 
 def load_fault_plan_arg(path: str | None):
-    """``--fault-plan`` parsing shared by serve and cluster workers."""
+    """Load a ``--fault-plan`` file, or exit with its error."""
     if path is None:
         return None
     from repro.errors import FaultPlanError
@@ -245,26 +324,22 @@ def load_fault_plan_arg(path: str | None):
         raise SystemExit(f"--fault-plan: {exc}")
 
 
-def register_scenario_files(server: ServeHTTPServer,
-                            scenario_files: list[str]) -> None:
-    """Register each ``--scenario`` file on the server's engine,
-    tearing the server down on a bad spec."""
-    if not scenario_files:
-        return
+def load_scenario_files(paths: list[str]) -> list[Any]:
+    """Load each ``--scenario`` file for registration, exiting with the
+    first bad one's error before anything starts."""
     from repro.errors import ScenarioError
     from repro.scenario import load_scenario
 
-    for path in scenario_files:
+    specs = []
+    for path in paths:
         try:
-            spec = server.client.engine.register_scenario(load_scenario(path))
+            spec = load_scenario(path)
+            if not spec.name:
+                raise ScenarioError("a registered scenario needs a name")
         except ScenarioError as exc:
-            server.stop()
-            server.client.close()
             raise SystemExit(f"--scenario {path}: {exc}")
-        print(
-            f"registered scenario {spec.name!r} ({spec.fingerprint[:12]})",
-            flush=True,
-        )
+        specs.append(spec)
+    return specs
 
 
 def restore_snapshot(server: ServeHTTPServer, snapshot_file: str) -> None:
@@ -400,101 +475,89 @@ def run_serve_loop(
     return 0
 
 
+def _serve_cluster(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> int:
+    """``--cluster N``: run the router plus its supervisor until
+    SIGTERM/SIGINT, then drain the router and every worker in turn."""
+    from repro.cluster.supervisor import ClusterSupervisor
+    from repro.errors import ClusterError
+
+    try:
+        supervisor = ClusterSupervisor(
+            args.cluster,
+            host=args.host,
+            port=args.port,
+            handler_concurrency=args.handler_concurrency,
+            queue_size=args.queue_size,
+            cache_size=args.cache_size,
+            timeout_s=args.timeout,
+            scenario_files=args.scenario,
+            fault_plan_file=args.fault_plan,
+            fault_plan_shard=args.fault_plan_shard,
+            snapshot_dir=args.snapshot_dir,
+            snapshot_interval_s=args.snapshot_interval,
+            drain_timeout_s=args.drain_timeout,
+            spill=args.spill,
+            ring_seed=args.ring_seed,
+            hedge=not args.no_hedge,
+            hedge_ratio=args.hedge_ratio,
+            verify_sample_rate=args.verify_sample_rate,
+            scrub_interval_s=args.scrub_interval,
+            verbose=args.verbose,
+        )
+    except ClusterError as exc:  # e.g. --fault-plan-shard out of range
+        parser.error(str(exc))
+    shutdown_requested = shutdown_event(
+        f"draining cluster (grace {args.drain_timeout:g}s)"
+    )
+    supervisor.start()
+    print(
+        f"repro-serve cluster listening on {supervisor.url} "
+        f"({args.cluster} shards, spill {args.spill})",
+        flush=True,
+    )
+    shutdown_requested.wait()
+    supervisor.stop()
+    print("repro-serve cluster exited cleanly", flush=True)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Console entry point for ``repro-serve``.
+    """Console entry point for ``repro-serve``: one parse, three modes.
 
-    ``--cluster N`` hands the whole invocation to the sharded
-    multi-worker front end (:mod:`repro.cluster.cli`).  Otherwise one
-    process serves directly, and SIGTERM/SIGINT trigger a graceful
-    drain instead of an abrupt exit: ``/readyz`` flips to 503 and new
-    ``/query`` work is refused with 503 + ``Retry-After`` immediately,
-    in-flight queries run to completion under ``--drain-timeout``, the
-    result cache is flushed to ``--cache-snapshot`` (checksummed,
-    durably written), and the process exits 0.  A second signal during
-    the drain is ignored — the drain deadline bounds shutdown either
-    way.
+    ``--cluster N`` runs the sharded front end (:func:`_serve_cluster`);
+    ``--shard-id K`` is one of its workers, announcing itself with the
+    :func:`~repro.cluster.protocol.worker_banner` the supervisor parses.
+    Otherwise one process serves directly.  Every mode drains gracefully
+    on SIGTERM/SIGINT (see the module docstring and
+    :func:`run_serve_loop`).
     """
-    args = list(sys.argv[1:] if argv is None else argv)
-    if "--cluster" in args:
-        from repro.cluster.cli import main as cluster_main
-
-        return cluster_main(args)
-    if args and args[0] in ("-h", "--help"):
-        print("usage: repro-serve [--host HOST] [--port PORT] [options]")
-        print("options:")
-        print("  --host HOST        bind address (default 127.0.0.1)")
-        print("  --port PORT        bind port; 0 picks one (default 8077)")
-        print("  --cluster N        serve through N sharded worker processes")
-        print("                     (consistent-hash routed; see below)")
-        print("  --handler-concurrency N  concurrent handler evaluations "
-              "(default 4)")
-        print("  --workers N        deprecated alias of --handler-concurrency")
-        print("  --queue-size N     admission-queue bound (default 128)")
-        print("  --cache-size N     result-cache entries (default 256)")
-        print("  --scenario FILE    register a named what-if overlay (repeatable)")
-        print("  --fault-plan FILE  inject a chaos experiment (JSON FaultPlan)")
-        print("  --timeout SECONDS  per-query deadline (default 30)")
-        print("  --cache-snapshot FILE  warm the cache from FILE at startup "
-              "(damaged entries quarantined, the rest restored) and flush "
-              "it back on graceful shutdown")
-        print("  --verify-sample-rate R  fraction of cache hits whose sealed "
-              "digest is re-verified before serving (default 0.125; 1 = "
-              "every hit)")
-        print("  --scrub-interval SECONDS  background cache-scrubber pass "
-              "interval; corrupt entries are quarantined and recomputed "
-              "(0 disables; default 0)")
-        print("  --snapshot-interval SECONDS  also flush the cache snapshot "
-              "periodically (0 disables; default 0)")
-        print("  --drain-timeout SECONDS  in-flight grace on SIGTERM/SIGINT "
-              "(default 10)")
-        print("  --verbose          log every request")
-        print("  --version          print the package version and exit")
-        print("cluster mode accepts the same options plus --snapshot-dir, "
-              "--spill, and --ring-seed; see repro-serve --cluster 2 --help")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.help:
+        parser.print_help()
         return 0
-    if "--version" in args:
+    if args.version:
         from repro import package_version
 
         print(f"repro-serve {package_version()}")
         return 0
-    host = _flag_value(args, "--host", "a bind address") or "127.0.0.1"
-    port = _int_flag(args, "--port", 8077)
-    handler_concurrency = parse_handler_concurrency(args)
-    queue_size = _int_flag(args, "--queue-size", 128)
-    cache_size = _int_flag(args, "--cache-size", 256)
-    scenario_files = []
-    while True:
-        raw = _flag_value(args, "--scenario", "a JSON file argument")
-        if raw is None:
-            break
-        scenario_files.append(raw)
-    fault_plan_file = _flag_value(args, "--fault-plan", "a JSON file argument")
-    timeout = _float_flag(args, "--timeout", 30.0)
-    snapshot_file = _flag_value(
-        args, "--cache-snapshot", "a snapshot file argument"
-    )
-    snapshot_interval = _float_flag(args, "--snapshot-interval", 0.0)
-    verify_sample_rate = _float_flag(args, "--verify-sample-rate", 0.125)
-    scrub_interval = _float_flag(args, "--scrub-interval", 0.0)
-    drain_timeout = _float_flag(args, "--drain-timeout", 10.0)
-    verbose = "--verbose" in args
-    if verbose:
-        args.remove("--verbose")
-    if args:
-        raise SystemExit(f"unknown argument {args[0]!r}; see repro-serve --help")
-    fault_plan = load_fault_plan_arg(fault_plan_file)
-
+    _check_mode(parser, args)
+    fault_plan = load_fault_plan_arg(args.fault_plan)  # before any worker
+    if args.cluster is not None:
+        return _serve_cluster(parser, args)
+    scenarios = load_scenario_files(args.scenario)
     server = make_server(
-        host,
-        port,
-        verbose=verbose,
-        workers=handler_concurrency,
-        max_queue=queue_size,
-        cache_size=cache_size,
-        default_timeout_s=timeout,
+        args.host,
+        args.port,
+        verbose=args.verbose,
+        workers=args.handler_concurrency,
+        max_queue=args.queue_size,
+        cache_size=args.cache_size,
+        default_timeout_s=args.timeout,
         fault_plan=fault_plan,
-        verify_sample_rate=verify_sample_rate,
-        scrub_interval_s=scrub_interval,
+        verify_sample_rate=args.verify_sample_rate,
+        scrub_interval_s=args.scrub_interval,
     )
     if fault_plan is not None:
         print(
@@ -502,14 +565,30 @@ def main(argv: list[str] | None = None) -> int:
             f"({fault_plan.fingerprint[:12]}, {len(fault_plan.rules)} rule(s))",
             flush=True,
         )
-    register_scenario_files(server, scenario_files)
-    if snapshot_file is not None:
-        restore_snapshot(server, snapshot_file)
+    name, banner = "repro-serve", None
+    if args.shard_id is not None:
+        from repro.cluster.protocol import worker_banner
+
+        name = f"repro-cluster-worker shard {args.shard_id}"
+        banner = worker_banner(args.shard_id, server.url)
+        # Shard identity rides the worker's own metrics, so even a raw
+        # per-worker /metrics scrape is attributable.
+        server.client.engine.metrics.register_gauge(
+            "shard_id", lambda: float(args.shard_id)
+        )
+    for spec in scenarios:
+        server.client.engine.register_scenario(spec)
+        print(f"registered scenario {spec.name!r} ({spec.fingerprint[:12]})",
+              flush=True)
+    if args.cache_snapshot is not None:
+        restore_snapshot(server, args.cache_snapshot)
     return run_serve_loop(
         server,
-        snapshot_file=snapshot_file,
-        drain_timeout=drain_timeout,
-        snapshot_interval=snapshot_interval,
+        snapshot_file=args.cache_snapshot,
+        drain_timeout=args.drain_timeout,
+        snapshot_interval=args.snapshot_interval or 0.0,
+        name=name,
+        banner=banner,
     )
 
 

@@ -108,11 +108,13 @@ class TestPipelineChaosResume:
         with pytest.raises(SystemExit, match="manifest"):
             main(["--resume", str(tmp_path)])
 
-    def test_resume_conflicts_with_other_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="--resume"):
-            main(["--resume", str(tmp_path), "sec3a"])
-        with pytest.raises(SystemExit, match="--resume"):
-            main(["--resume", str(tmp_path), "--output", str(tmp_path)])
+    def test_resume_conflicts_with_other_flags(self, tmp_path, capsys):
+        for argv in (["--resume", str(tmp_path), "sec3a"],
+                     ["--resume", str(tmp_path), "--output", str(tmp_path)]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--resume" in capsys.readouterr().err
 
     def test_bad_fault_plan_file(self, tmp_path):
         bad = tmp_path / "bad.json"

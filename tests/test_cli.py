@@ -7,6 +7,14 @@ import pytest
 from repro.harness.runner import ARTIFACTS, main
 
 
+def _usage_error(capsys, argv):
+    """Run ``main(argv)``, expect a usage error, and return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestHelp:
     def test_help_lists_artifacts_and_flags(self, capsys):
         assert main(["--help"]) == 0
@@ -47,11 +55,13 @@ class TestSelection:
         out = capsys.readouterr().out
         assert out.index("=== sec3a") < out.index("=== table1")
 
-    def test_unknown_artifact_is_a_clean_exit(self):
+    def test_unknown_artifact_is_a_clean_exit(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["table9"])
-        assert "table9" in str(excinfo.value)
-        assert "known" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "table9" in err
+        assert "known" in err
 
 
 class TestJobsFlag:
@@ -62,23 +72,21 @@ class TestJobsFlag:
         for name in ("table1", "table6", "sec3a"):
             assert f"=== {name}" in out
 
-    def test_jobs_requires_argument(self):
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(["table1", "--jobs"])
+    def test_jobs_requires_argument(self, capsys):
+        assert "--jobs" in _usage_error(capsys, ["table1", "--jobs"])
 
-    def test_jobs_requires_integer(self):
-        with pytest.raises(SystemExit, match="integer"):
-            main(["table1", "--jobs", "many"])
+    def test_jobs_requires_integer(self, capsys):
+        err = _usage_error(capsys, ["table1", "--jobs", "many"])
+        assert "integer" in err and "many" in err
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(SystemExit, match="jobs"):
-            main(["table1", "--jobs", "0"])
+    def test_jobs_must_be_positive(self, capsys):
+        err = _usage_error(capsys, ["table1", "--jobs", "0"])
+        assert "--jobs" in err and "0" in err
 
 
 class TestOutputFlag:
-    def test_output_requires_argument(self):
-        with pytest.raises(SystemExit, match="--output"):
-            main(["table1", "--output"])
+    def test_output_requires_argument(self, capsys):
+        assert "--output" in _usage_error(capsys, ["table1", "--output"])
 
     def test_output_writes_expected_file_set(self, tmp_path, capsys):
         assert main(["table1", "sec3a", "--output", str(tmp_path)]) == 0

@@ -223,24 +223,24 @@ class TestTextMetrics:
 
 class TestHandlerConcurrencyFlag:
     def test_new_flag_parses(self):
-        from repro.serve.http import parse_handler_concurrency
+        from repro.serve.http import build_parser
 
-        args = ["--handler-concurrency", "9", "--port", "0"]
-        assert parse_handler_concurrency(args) == 9
-        assert args == ["--port", "0"]  # consumed
+        args = build_parser().parse_args(
+            ["--handler-concurrency", "9", "--port", "0"]
+        )
+        assert args.handler_concurrency == 9
 
     def test_deprecated_alias_warns_and_wins(self, capsys):
-        from repro.serve.http import parse_handler_concurrency
+        from repro.serve.http import build_parser
 
-        args = ["--workers", "7"]
-        assert parse_handler_concurrency(args) == 7
-        assert args == []
+        args = build_parser().parse_args(["--workers", "7"])
+        assert args.handler_concurrency == 7
         assert "deprecated" in capsys.readouterr().err
 
     def test_default(self):
-        from repro.serve.http import parse_handler_concurrency
+        from repro.serve.http import build_parser
 
-        assert parse_handler_concurrency([]) == 4
+        assert build_parser().parse_args([]).handler_concurrency == 4
 
 
 # -- retry-after surfacing ---------------------------------------------------
@@ -258,6 +258,28 @@ class TestRetryAfter:
         err = ServiceDraining("x")
         err.retry_after = 7.5
         assert err.to_dict()["retry_after"] == 7.5
+
+
+# -- boot failure --------------------------------------------------------------
+
+
+class TestBootFailure:
+    def test_worker_dying_before_its_banner_fails_start_fast(self, tmp_path):
+        import time
+
+        from repro.cluster import ClusterSupervisor
+        from repro.errors import ClusterError
+
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"rules": [{"site": "x", "kind": "explode"}]}')
+        supervisor = ClusterSupervisor(1, fault_plan_file=str(plan))
+        started = time.monotonic()
+        with pytest.raises(ClusterError) as excinfo:
+            supervisor.start()
+        assert time.monotonic() - started < 10.0
+        message = str(excinfo.value)
+        assert "exited with code 1" in message
+        assert "--fault-plan" in message and "explode" in message
 
 
 # -- end to end: a real 2-shard cluster --------------------------------------

@@ -181,11 +181,13 @@ class TestRunner:
         with pytest.raises(ValueError, match="table9"):
             run_all(["table9"])
 
-    def test_unknown_artifact_cli_exits(self):
+    def test_unknown_artifact_cli_exits(self, capsys):
         from repro.harness.runner import main
 
-        with pytest.raises(SystemExit, match="table9"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["table9"])
+        assert excinfo.value.code == 2
+        assert "table9" in capsys.readouterr().err
 
     def test_artifact_registry_complete(self):
         assert {"table1", "table2", "table3", "table4", "table5", "table6",

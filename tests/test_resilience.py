@@ -199,6 +199,23 @@ class TestFaultPlanFromDict:
         with pytest.raises(FaultPlanError, match=r"rules\[0\]"):
             fault_plan_from_dict({"rules": ["substrate:k_year"]})
 
+    def test_rules_must_be_a_list(self):
+        with pytest.raises(FaultPlanError, match="rules must be a list"):
+            fault_plan_from_dict({"rules": 5})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("site", 3, "site must be a string"),
+        ("kind", 1, "kind must be a string"),
+        ("message", 2, "message must be a string"),
+        ("times", "2", "times must be an integer"),
+        ("times", 1.5, "times must be an integer"),
+        ("times", True, "times must be an integer"),
+    ])
+    def test_rule_field_types(self, field, value, match):
+        rule = {"site": "x", field: value}
+        with pytest.raises(FaultPlanError, match=match):
+            fault_plan_from_dict({"rules": [rule]})
+
     def test_int_rate_coerces_to_float(self):
         plan = fault_plan_from_dict({"rules": [{"site": "x", "rate": 1}]})
         assert plan.rules[0].rate == 1.0

@@ -14,6 +14,7 @@ import pathlib
 import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -24,7 +25,7 @@ from repro.cluster import HashRing, ShardTable
 from repro.cluster.router import ClusterRouter
 from repro.errors import QueryValidationError, ServeError
 from repro.serve import HttpServeClient, ServeClient
-from repro.serve.http import MAX_BODY_BYTES, main, make_server
+from repro.serve.http import MAX_BODY_BYTES, build_parser, main, make_server
 from repro.serve.wire import MAX_HEADER_LINES, MAX_LINE_BYTES
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / "artifacts"
@@ -400,18 +401,70 @@ class TestServeCli:
             f"repro-serve {package_version()}"
         )
 
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit, match="unknown argument"):
-            main(["--frobnicate"])
+    @staticmethod
+    def _usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        return capsys.readouterr().err
 
-    def test_bad_port_rejected(self):
-        with pytest.raises(SystemExit, match="--port expects an integer"):
-            main(["--port", "eighty"])
+    def test_unknown_flag_rejected(self, capsys):
+        assert "--frobnicate" in self._usage_error(capsys, ["--frobnicate"])
 
-    def test_missing_flag_value_rejected(self):
-        with pytest.raises(SystemExit, match="--host requires"):
-            main(["--host"])
+    def test_bad_port_rejected(self, capsys):
+        err = self._usage_error(capsys, ["--port", "eighty"])
+        assert "--port" in err and "eighty" in err
 
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(SystemExit, match="--timeout expects a number"):
-            main(["--timeout", "soon"])
+    def test_missing_flag_value_rejected(self, capsys):
+        assert "--host" in self._usage_error(capsys, ["--host"])
+
+    def test_bad_timeout_rejected(self, capsys):
+        err = self._usage_error(capsys, ["--timeout", "soon"])
+        assert "--timeout" in err and "soon" in err
+
+    @pytest.mark.parametrize("argv", [
+        *([*mode, flag, value]
+          for mode in ([], ["--cluster", "2"])
+          for flag, value in [
+              ("--cache-size", "-1"),
+              ("--handler-concurrency", "0"),
+              ("--workers", "0"),
+              ("--queue-size", "0"),
+              ("--verify-sample-rate", "2"),
+              ("--verify-sample-rate", "-0.5"),
+              ("--timeout", "-1"),
+              ("--drain-timeout", "-1"),
+              ("--snapshot-interval", "-1"),
+              ("--scrub-interval", "-1"),
+          ]),
+        ["--cluster", "0"],
+        ["--cluster", "2", "--spill", "-1"],
+        ["--cluster", "2", "--hedge-ratio", "0"],
+        ["--cluster", "2", "--hedge-ratio", "1.5"],
+        ["--cluster", "2", "--fault-plan-shard", "2"],
+        ["--cluster", "2", "--cache-snapshot", "snap.json"],
+        ["--cluster", "2", "--shard-id", "0"],
+        ["--spill", "1"],
+        ["--no-hedge"],
+        ["--snapshot-dir", "snaps"],
+        ["--shard-id", "-1"],
+    ], ids=" ".join)
+    def test_bad_flag_is_a_usage_error_before_anything_starts(
+        self, capsys, monkeypatch, argv
+    ):
+        from repro.cluster.supervisor import ClusterSupervisor
+
+        def must_not_start(*_args, **_kwargs):
+            raise AssertionError("started before the flags were checked")
+
+        monkeypatch.setattr("repro.serve.http.make_server", must_not_start)
+        monkeypatch.setattr(ClusterSupervisor, "_spawn", must_not_start)
+        started = time.monotonic()
+        err = self._usage_error(capsys, argv)
+        assert [arg for arg in argv if arg.startswith("--")][-1] in err
+        if "--cluster" in argv:
+            assert time.monotonic() - started < 5.0
+
+    def test_equals_form_parses(self):
+        args = build_parser().parse_args(["--port=0", "--cache-size=8"])
+        assert (args.port, args.cache_size) == (0, 8)

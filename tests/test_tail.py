@@ -422,11 +422,10 @@ class TestHttpDeadlines:
     def test_deprecated_workers_alias_warns_and_is_honored(self, capsys):
         # Satellite check rides here: both spellings of handler
         # concurrency parse, the legacy one loudly.
-        from repro.serve.http import parse_handler_concurrency
+        from repro.serve.http import build_parser
 
-        args = ["--workers", "6", "--port", "0"]
-        assert parse_handler_concurrency(args) == 6
-        assert args == ["--port", "0"]
+        args = build_parser().parse_args(["--workers", "6", "--port", "0"])
+        assert args.handler_concurrency == 6
         assert "deprecated" in capsys.readouterr().err
 
 
