@@ -2,7 +2,8 @@
 Computing: A Paragon of Performance or Grasping at Straws?* (Domke et
 al., IPDPS 2021).
 
-The public API re-exports the entry points a downstream user needs:
+The public API re-exports the entry points a downstream user needs
+(lazily: each name's module loads on first access):
 
 * device models and the simulator (:mod:`repro.hardware`, :mod:`repro.sim`),
 * the instrumented math library (:mod:`repro.blas`),
@@ -20,41 +21,50 @@ The public API re-exports the entry points a downstream user needs:
   and circuit breakers (:mod:`repro.resilience`).
 """
 
-from repro.errors import ReproError
-from repro.hardware import get_device, all_devices
-from repro.sim import (
-    KernelKind,
-    KernelLaunch,
-    SimulatedDevice,
-    execution_context,
-)
-from repro.precision import FP16, BF16, TF32, FP32, FP64, me_gemm, quantize
-from repro.workloads import all_workloads, get_workload, profile_workload
-from repro.dl import build_model, profile_mixed_precision, train_step
-from repro.ozaki import ozaki_gemm
-from repro.extrapolate import (
-    anl_scenario,
-    future_scenario,
-    k_computer_scenario,
-)
-from repro.analysis import assess_machine, assess_scenario, dark_silicon_analysis
-from repro.scenario import (
-    ScenarioSpec,
-    active_scenario,
-    load_scenario,
-    scenario_context,
-    scenario_from_dict,
-)
-from repro.resilience import (
-    CircuitBreaker,
-    FaultPlan,
-    FaultRule,
-    RetryPolicy,
-    fault_context,
-    fault_point,
-    load_fault_plan,
-    retry_call,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "ReproError": "repro.errors",
+    "get_device": "repro.hardware.registry",
+    "all_devices": "repro.hardware.registry",
+    "KernelKind": "repro.sim.kernels",
+    "KernelLaunch": "repro.sim.kernels",
+    "SimulatedDevice": "repro.sim.engine",
+    "execution_context": "repro.sim.context",
+    "FP16": "repro.precision.formats",
+    "BF16": "repro.precision.formats",
+    "TF32": "repro.precision.formats",
+    "FP32": "repro.precision.formats",
+    "FP64": "repro.precision.formats",
+    "quantize": "repro.precision.rounding",
+    "me_gemm": "repro.precision.megemm",
+    "get_workload": "repro.workloads.registry",
+    "all_workloads": "repro.workloads.registry",
+    "profile_workload": "repro.workloads.base",
+    "build_model": "repro.dl.models",
+    "train_step": "repro.dl.training",
+    "profile_mixed_precision": "repro.dl.nvprof",
+    "ozaki_gemm": "repro.ozaki.gemm",
+    "k_computer_scenario": "repro.extrapolate.scenarios",
+    "anl_scenario": "repro.extrapolate.scenarios",
+    "future_scenario": "repro.extrapolate.scenarios",
+    "assess_scenario": "repro.analysis.costbenefit",
+    "assess_machine": "repro.analysis.costbenefit",
+    "dark_silicon_analysis": "repro.analysis.silicon",
+    "ScenarioSpec": "repro.scenario.spec",
+    "scenario_context": "repro.scenario.context",
+    "active_scenario": "repro.scenario.context",
+    "scenario_from_dict": "repro.scenario.io",
+    "load_scenario": "repro.scenario.io",
+    "FaultPlan": "repro.resilience.faultplan",
+    "FaultRule": "repro.resilience.faultplan",
+    "fault_context": "repro.resilience.faultplan",
+    "fault_point": "repro.resilience.faultplan",
+    "load_fault_plan": "repro.resilience.faultplan",
+    "RetryPolicy": "repro.resilience.retry",
+    "retry_call": "repro.resilience.retry",
+    "CircuitBreaker": "repro.resilience.breaker",
+}
 
 __version__ = "1.0.0"
 
@@ -72,47 +82,6 @@ def package_version() -> str:
     except Exception:
         return __version__
 
-__all__ = [
-    "ReproError",
-    "get_device",
-    "all_devices",
-    "KernelKind",
-    "KernelLaunch",
-    "SimulatedDevice",
-    "execution_context",
-    "FP16",
-    "BF16",
-    "TF32",
-    "FP32",
-    "FP64",
-    "quantize",
-    "me_gemm",
-    "get_workload",
-    "all_workloads",
-    "profile_workload",
-    "build_model",
-    "train_step",
-    "profile_mixed_precision",
-    "ozaki_gemm",
-    "k_computer_scenario",
-    "anl_scenario",
-    "future_scenario",
-    "assess_scenario",
-    "assess_machine",
-    "dark_silicon_analysis",
-    "ScenarioSpec",
-    "scenario_context",
-    "active_scenario",
-    "scenario_from_dict",
-    "load_scenario",
-    "FaultPlan",
-    "FaultRule",
-    "fault_context",
-    "fault_point",
-    "load_fault_plan",
-    "RetryPolicy",
-    "retry_call",
-    "CircuitBreaker",
-    "package_version",
-    "__version__",
-]
+
+__all__ = [*_EXPORTS, "package_version", "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

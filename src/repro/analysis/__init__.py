@@ -10,51 +10,29 @@ argument: reclaiming the Tensor Cores' area buys almost nothing because
 the FPUs already saturate the TDP.
 """
 
-from repro.analysis.arrays import (
-    SweepGrid,
-    SweepResult,
-    amdahl_grid,
-    consumed_fraction_grid,
-)
-from repro.analysis.costbenefit import (
-    CostBenefitReport,
-    assess_grid,
-    assess_machine,
-    assess_scenario,
-    me_speedup_estimate,
-)
-from repro.analysis.silicon import (
-    CoExecutionReport,
-    DarkSiliconReport,
-    co_execution_analysis,
-    dark_silicon_analysis,
-)
-from repro.analysis.sparse import (
-    TiledSpGemmResult,
-    crossover_density,
-    spgemm_time_model,
-    tiled_spgemm,
-)
-from repro.analysis.scaling import ScalingPoint, hpl_strong_scaling
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScalingPoint",
-    "hpl_strong_scaling",
-    "SweepGrid",
-    "SweepResult",
-    "amdahl_grid",
-    "consumed_fraction_grid",
-    "CostBenefitReport",
-    "assess_scenario",
-    "assess_machine",
-    "assess_grid",
-    "me_speedup_estimate",
-    "DarkSiliconReport",
-    "dark_silicon_analysis",
-    "CoExecutionReport",
-    "co_execution_analysis",
-    "TiledSpGemmResult",
-    "tiled_spgemm",
-    "spgemm_time_model",
-    "crossover_density",
-]
+_EXPORTS = {
+    "ScalingPoint": "repro.analysis.scaling",
+    "hpl_strong_scaling": "repro.analysis.scaling",
+    "SweepGrid": "repro.analysis.arrays",
+    "SweepResult": "repro.analysis.arrays",
+    "amdahl_grid": "repro.analysis.arrays",
+    "consumed_fraction_grid": "repro.analysis.arrays",
+    "CostBenefitReport": "repro.analysis.costbenefit",
+    "assess_scenario": "repro.analysis.costbenefit",
+    "assess_machine": "repro.analysis.costbenefit",
+    "assess_grid": "repro.analysis.costbenefit",
+    "me_speedup_estimate": "repro.analysis.costbenefit",
+    "DarkSiliconReport": "repro.analysis.silicon",
+    "dark_silicon_analysis": "repro.analysis.silicon",
+    "CoExecutionReport": "repro.analysis.silicon",
+    "co_execution_analysis": "repro.analysis.silicon",
+    "TiledSpGemmResult": "repro.analysis.sparse",
+    "tiled_spgemm": "repro.analysis.sparse",
+    "spgemm_time_model": "repro.analysis.sparse",
+    "crossover_density": "repro.analysis.sparse",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -49,7 +49,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ScenarioError
-from repro.resilience import cancel_point
+from repro.integrity.invariants import verify_sweep_result
+from repro.resilience.cancel import cancel_point
 
 __all__ = [
     "SweepGrid",
@@ -383,8 +384,6 @@ class SweepGrid:
         )
         # ABFT-style self-checks after every kernel pass: a corrupted
         # tensor raises IntegrityError instead of flowing downstream.
-        from repro.integrity.invariants import verify_sweep_result
-
         verify_sweep_result(self, result)
         return result
 

@@ -15,8 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.arrays import SweepGrid, _ensure_inf_column
 from repro.errors import DeviceError
 from repro.extrapolate.model import NodeHourModel
+from repro.extrapolate.scenarios import build_machine
 from repro.hardware.registry import get_device
 from repro.hardware.specs import DeviceSpec
 
@@ -136,13 +138,9 @@ def assess_grid(
     sweep is a handful of broadcast operations regardless of plane
     size.
     """
-    from repro.analysis.arrays import SweepGrid, _ensure_inf_column
-
     models = []
     for scenario in scenarios:
         if isinstance(scenario, str):
-            from repro.extrapolate import build_machine
-
             scenario = build_machine(scenario)
         models.append(scenario)
     speedups, inf_col = _ensure_inf_column(me_speedups)
@@ -176,6 +174,4 @@ def assess_machine(name: str, *, me_speedup: float = 4.0) -> CostBenefitReport:
     name may be a built-in Fig. 4 machine (possibly overlay-edited) or
     a machine the active :class:`~repro.scenario.ScenarioSpec` defines.
     """
-    from repro.extrapolate import build_machine
-
     return assess_scenario(build_machine(name), me_speedup=me_speedup)

@@ -17,36 +17,33 @@ Routine naming follows BLAS conventions: a precision prefix (``d``, ``s``,
 ``h``) is derived from the compute format.
 """
 
-from repro.blas.dispatch import execute_kernel, routine_name
-from repro.blas.stub import zero_stub
-from repro.blas.level1 import axpy, asum, copy, dot, nrm2, scal
-from repro.blas.level2 import gemv, ger, trsv
-from repro.blas.level3 import gemm, syrk, trsm
-from repro.blas.lapack import geqrf, gesv, getrf, getrs, potrf
-from repro.blas.scalapack import ProcessGrid, pdgemm, pdgetrf
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "execute_kernel",
-    "routine_name",
-    "zero_stub",
-    "axpy",
-    "asum",
-    "copy",
-    "dot",
-    "nrm2",
-    "scal",
-    "gemv",
-    "ger",
-    "trsv",
-    "gemm",
-    "syrk",
-    "trsm",
-    "getrf",
-    "getrs",
-    "gesv",
-    "potrf",
-    "geqrf",
-    "ProcessGrid",
-    "pdgemm",
-    "pdgetrf",
-]
+_EXPORTS = {
+    "execute_kernel": "repro.blas.dispatch",
+    "routine_name": "repro.blas.dispatch",
+    "zero_stub": "repro.blas.stub",
+    "axpy": "repro.blas.level1",
+    "asum": "repro.blas.level1",
+    "copy": "repro.blas.level1",
+    "dot": "repro.blas.level1",
+    "nrm2": "repro.blas.level1",
+    "scal": "repro.blas.level1",
+    "gemv": "repro.blas.level2",
+    "ger": "repro.blas.level2",
+    "trsv": "repro.blas.level2",
+    "gemm": "repro.blas.level3",
+    "syrk": "repro.blas.level3",
+    "trsm": "repro.blas.level3",
+    "getrf": "repro.blas.lapack",
+    "getrs": "repro.blas.lapack",
+    "gesv": "repro.blas.lapack",
+    "potrf": "repro.blas.lapack",
+    "geqrf": "repro.blas.lapack",
+    "ProcessGrid": "repro.blas.scalapack",
+    "pdgemm": "repro.blas.scalapack",
+    "pdgetrf": "repro.blas.scalapack",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,27 +25,20 @@ The pieces:
 The ``--cluster`` command line is :func:`repro.serve.http.main`'s.
 """
 
-from repro.cluster.protocol import (
-    ShardInfo,
-    ShardTable,
-    aggregate_metrics,
-    parse_worker_banner,
-    routing_key,
-    worker_banner,
-)
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.cluster.router import ClusterRouter
-from repro.cluster.supervisor import ClusterSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HashRing",
-    "DEFAULT_VNODES",
-    "routing_key",
-    "ShardInfo",
-    "ShardTable",
-    "worker_banner",
-    "parse_worker_banner",
-    "aggregate_metrics",
-    "ClusterRouter",
-    "ClusterSupervisor",
-]
+_EXPORTS = {
+    "HashRing": "repro.cluster.ring",
+    "DEFAULT_VNODES": "repro.cluster.ring",
+    "routing_key": "repro.cluster.protocol",
+    "ShardInfo": "repro.cluster.protocol",
+    "ShardTable": "repro.cluster.protocol",
+    "worker_banner": "repro.cluster.protocol",
+    "parse_worker_banner": "repro.cluster.protocol",
+    "aggregate_metrics": "repro.cluster.protocol",
+    "ClusterRouter": "repro.cluster.router",
+    "ClusterSupervisor": "repro.cluster.supervisor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -55,7 +55,7 @@ from repro.errors import (
     ServiceDraining,
     ShardUnavailable,
 )
-from repro.resilience import BreakerRegistry
+from repro.resilience.breaker import BreakerRegistry
 from repro.serve.deadline import (
     DEADLINE_HEADER,
     DeadlineBudget,
@@ -64,9 +64,9 @@ from repro.serve.deadline import (
 from repro.serve.client import verify_response_digest
 from repro.serve.engine import describe_scenarios
 from repro.serve.handlers import DEFAULT_REGISTRY
-from repro.serve.http import NO_STORE_HEADER
 from repro.serve.metrics import Counter, Histogram, render_text_metrics
 from repro.serve.wire import (
+    NO_STORE_HEADER,
     HttpServer,
     Request,
     Response,

@@ -9,47 +9,32 @@ A training step executes on a simulated device
 speedup, %TC, %TC-comp and %Mem.
 """
 
-from repro.dl.layers import (
-    Activation,
-    Attention,
-    BatchNorm,
-    Conv2D,
-    Conv3D,
-    Dense,
-    Embedding,
-    Gru,
-    LayerNorm,
-    Lstm,
-    Op,
-    Pool,
-    Softmax,
-)
-from repro.dl.models import MODEL_BUILDERS, build_model, model_names
-from repro.dl.amp import PrecisionPolicy
-from repro.dl.training import TrainingResult, inference_step, train_step
-from repro.dl.nvprof import MixedPrecisionReport, profile_mixed_precision
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Op",
-    "Dense",
-    "Conv2D",
-    "Conv3D",
-    "Lstm",
-    "Gru",
-    "Attention",
-    "Embedding",
-    "BatchNorm",
-    "LayerNorm",
-    "Activation",
-    "Pool",
-    "Softmax",
-    "build_model",
-    "model_names",
-    "MODEL_BUILDERS",
-    "PrecisionPolicy",
-    "train_step",
-    "inference_step",
-    "TrainingResult",
-    "profile_mixed_precision",
-    "MixedPrecisionReport",
-]
+_EXPORTS = {
+    "Op": "repro.dl.layers",
+    "Dense": "repro.dl.layers",
+    "Conv2D": "repro.dl.layers",
+    "Conv3D": "repro.dl.layers",
+    "Lstm": "repro.dl.layers",
+    "Gru": "repro.dl.layers",
+    "Attention": "repro.dl.layers",
+    "Embedding": "repro.dl.layers",
+    "BatchNorm": "repro.dl.layers",
+    "LayerNorm": "repro.dl.layers",
+    "Activation": "repro.dl.layers",
+    "Pool": "repro.dl.layers",
+    "Softmax": "repro.dl.layers",
+    "build_model": "repro.dl.models",
+    "model_names": "repro.dl.models",
+    "MODEL_BUILDERS": "repro.dl.models",
+    "PrecisionPolicy": "repro.dl.amp",
+    "train_step": "repro.dl.training",
+    "inference_step": "repro.dl.training",
+    "TrainingResult": "repro.dl.training",
+    "profile_mixed_precision": "repro.dl.nvprof",
+    "MixedPrecisionReport": "repro.dl.nvprof",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,30 +7,20 @@ accelerable fractions are *measured* by the Fig. 3 profiling machinery,
 not tabulated.
 """
 
-from repro.extrapolate.model import (
-    DomainWorkload,
-    NodeHourModel,
-    amdahl_time_fraction,
-)
-from repro.extrapolate.scenarios import (
-    MACHINE_BUILDERS,
-    anl_scenario,
-    build_machine,
-    fugaku_scenario,
-    future_scenario,
-    k_computer_scenario,
-    machine_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DomainWorkload",
-    "NodeHourModel",
-    "amdahl_time_fraction",
-    "k_computer_scenario",
-    "anl_scenario",
-    "future_scenario",
-    "fugaku_scenario",
-    "MACHINE_BUILDERS",
-    "machine_names",
-    "build_machine",
-]
+_EXPORTS = {
+    "DomainWorkload": "repro.extrapolate.model",
+    "NodeHourModel": "repro.extrapolate.model",
+    "amdahl_time_fraction": "repro.extrapolate.model",
+    "k_computer_scenario": "repro.extrapolate.scenarios",
+    "anl_scenario": "repro.extrapolate.scenarios",
+    "future_scenario": "repro.extrapolate.scenarios",
+    "fugaku_scenario": "repro.extrapolate.scenarios",
+    "MACHINE_BUILDERS": "repro.extrapolate.scenarios",
+    "machine_names": "repro.extrapolate.scenarios",
+    "build_machine": "repro.extrapolate.scenarios",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,6 +20,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.analysis.arrays import SweepGrid, consumed_fraction_grid
 from repro.errors import ScenarioError
 
 __all__ = ["amdahl_time_fraction", "DomainWorkload", "NodeHourModel"]
@@ -91,8 +92,6 @@ class NodeHourModel:
     def as_grid(self, speedups: Sequence[float] | Any) -> Any:
         """This mix over a speedup grid, as an evaluable
         :class:`~repro.analysis.arrays.SweepGrid`."""
-        from repro.analysis.arrays import SweepGrid
-
         return SweepGrid.from_models((self,), speedups)
 
     def consumed_fraction_grid(
@@ -100,8 +99,6 @@ class NodeHourModel:
     ) -> np.ndarray:
         """Node-hour fractions still consumed, for a whole speedup grid
         in one broadcast evaluation: ``(S,)`` for ``S`` speedups."""
-        from repro.analysis.arrays import consumed_fraction_grid
-
         shares, accelerable = self._mix_planes
         return consumed_fraction_grid(
             shares,

@@ -21,7 +21,9 @@ from functools import lru_cache
 
 from repro.errors import ScenarioError
 from repro.extrapolate.model import DomainWorkload, NodeHourModel
-from repro.workloads import get_workload, profile_all_workloads, profile_workload
+from repro.scenario.context import active_cache_token, active_scenario
+from repro.workloads.base import profile_all_workloads, profile_workload
+from repro.workloads.registry import get_workload
 
 __all__ = [
     "k_computer_scenario",
@@ -42,16 +44,12 @@ _BERT_GEMM_OCCUPANCY = 0.832
 
 def _other_gemm() -> float:
     """The "other" domains' assumed GEMM share, scenario-overridable."""
-    from repro.scenario.context import active_scenario
-
     ov = active_scenario().extrapolation.other_gemm_assumption
     return _OTHER_GEMM_ASSUMPTION if ov is None else ov
 
 
 def _bert_occupancy() -> float:
     """BERT's assumed GEMM occupancy, scenario-overridable."""
-    from repro.scenario.context import active_scenario
-
     ov = active_scenario().extrapolation.bert_gemm_occupancy
     return _BERT_GEMM_OCCUPANCY if ov is None else ov
 
@@ -77,8 +75,6 @@ def _accelerable(qualified_name: str) -> float:
     workload.  The memo is keyed by the active scenario's cache token
     so overlay workloads (or edited mixes) never poison the baseline.
     """
-    from repro.scenario.context import active_cache_token
-
     return _accelerable_cached(active_cache_token(), qualified_name)
 
 
@@ -161,8 +157,6 @@ def _apply_machine_overlay(ov, base: NodeHourModel | None) -> NodeHourModel:
 
 
 def _overlay_for(wire_name: str):
-    from repro.scenario.context import active_scenario
-
     for ov in active_scenario().machines:
         if ov.name == wire_name:
             return ov
@@ -301,8 +295,6 @@ MACHINE_BUILDERS = {
 
 def machine_names() -> list[str]:
     """Built-in wire names plus the active scenario's new machines."""
-    from repro.scenario.context import active_scenario
-
     names = list(MACHINE_BUILDERS)
     names += [
         ov.name for ov in active_scenario().machines

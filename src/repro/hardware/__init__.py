@@ -8,38 +8,23 @@ ships every device the paper measures or surveys (Table I, Fig. 2,
 Systems 1 & 2).
 """
 
-from repro.hardware.specs import (
-    ComputeUnitSpec,
-    DeviceSpec,
-    MemorySpec,
-    UnitKind,
-)
-from repro.hardware.registry import (
-    all_devices,
-    get_device,
-    list_device_names,
-    table_i_devices,
-)
-from repro.hardware.roofline import (
-    achievable_flops,
-    arithmetic_intensity,
-    roofline_time,
-)
-from repro.hardware.energy import kernel_power
-from repro.hardware.density import compute_density
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ComputeUnitSpec",
-    "DeviceSpec",
-    "MemorySpec",
-    "UnitKind",
-    "all_devices",
-    "get_device",
-    "list_device_names",
-    "table_i_devices",
-    "achievable_flops",
-    "arithmetic_intensity",
-    "roofline_time",
-    "kernel_power",
-    "compute_density",
-]
+_EXPORTS = {
+    "ComputeUnitSpec": "repro.hardware.specs",
+    "DeviceSpec": "repro.hardware.specs",
+    "MemorySpec": "repro.hardware.specs",
+    "UnitKind": "repro.hardware.specs",
+    "all_devices": "repro.hardware.registry",
+    "get_device": "repro.hardware.registry",
+    "list_device_names": "repro.hardware.registry",
+    "table_i_devices": "repro.hardware.registry",
+    "achievable_flops": "repro.hardware.roofline",
+    "arithmetic_intensity": "repro.hardware.roofline",
+    "roofline_time": "repro.hardware.roofline",
+    "kernel_power": "repro.hardware.energy",
+    "compute_density": "repro.hardware.density",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

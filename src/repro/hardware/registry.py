@@ -29,6 +29,8 @@ from repro.hardware.specs import (
     MemorySpec,
     UnitKind,
 )
+from repro.scenario.context import active_scenario
+from repro.scenario.resolve import resolve_devices
 from repro.units import GIB, GIGA, TERA
 
 __all__ = [
@@ -602,8 +604,6 @@ def builtin_device(name: str) -> DeviceSpec | None:
 
 def _overlay_devices() -> dict[str, DeviceSpec]:
     """The active scenario's resolved devices (``{}`` for baseline)."""
-    from repro.scenario.context import active_scenario
-
     spec = active_scenario()
     if not spec.devices:
         return {}
@@ -612,8 +612,6 @@ def _overlay_devices() -> dict[str, DeviceSpec]:
         if token in _overlay_cache:
             _overlay_cache.move_to_end(token)
             return _overlay_cache[token]
-    from repro.scenario.resolve import resolve_devices
-
     resolved = resolve_devices(spec)
     with _overlay_mutex:
         _overlay_cache[token] = resolved

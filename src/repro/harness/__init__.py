@@ -8,49 +8,32 @@ the artefacts as a substrate-aware DAG — shared inputs are computed
 once into :mod:`repro.harness.cache` and independent artefacts fan out
 across worker threads.
 
-Exports resolve lazily (PEP 562) so that low-level packages
-(``repro.joblog``, ``repro.ozaki``, ...) can import the leaf
+Like every façade here, exports resolve lazily (PEP 562), so low-level
+packages (``repro.joblog``, ``repro.ozaki``, ...) can import the leaf
 ``repro.harness.cache`` module without dragging in the generators —
 which import *them* — and cycling.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "table_i": "tables",
-    "table_ii": "tables",
-    "table_iii": "tables",
-    "table_iv": "tables",
-    "table_v": "tables",
-    "table_vi_vii": "tables",
-    "table_viii": "tables",
-    "fig1": "figures",
-    "fig2": "figures",
-    "fig3": "figures",
-    "fig4": "figures",
-    "section_iii_a": "runner",
-    "run_all": "runner",
-    "run_pipeline": "pipeline",
-    "PipelineResult": "pipeline",
-    "SUBSTRATE_CACHE": "cache",
+    "table_i": "repro.harness.tables",
+    "table_ii": "repro.harness.tables",
+    "table_iii": "repro.harness.tables",
+    "table_iv": "repro.harness.tables",
+    "table_v": "repro.harness.tables",
+    "table_vi_vii": "repro.harness.tables",
+    "table_viii": "repro.harness.tables",
+    "fig1": "repro.harness.figures",
+    "fig2": "repro.harness.figures",
+    "fig3": "repro.harness.figures",
+    "fig4": "repro.harness.figures",
+    "section_iii_a": "repro.harness.runner",
+    "run_all": "repro.harness.runner",
+    "run_pipeline": "repro.harness.pipeline",
+    "PipelineResult": "repro.harness.pipeline",
+    "SUBSTRATE_CACHE": "repro.harness.cache",
 }
 
 __all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        submodule = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(
-        importlib.import_module(f"{__name__}.{submodule}"), name
-    )
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

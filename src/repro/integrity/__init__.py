@@ -35,23 +35,18 @@ All violations raise the typed
 always the same — never serve the value, recompute it.
 """
 
-from repro.integrity.answers import verify_answer
-from repro.integrity.digest import (
-    bytes_digest,
-    corrupt_payload,
-    payload_digest,
-    perturb_answer,
-)
-from repro.integrity.envelope import ResultEnvelope, seal
-from repro.integrity.invariants import verify_sweep_result
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bytes_digest",
-    "payload_digest",
-    "corrupt_payload",
-    "perturb_answer",
-    "ResultEnvelope",
-    "seal",
-    "verify_answer",
-    "verify_sweep_result",
-]
+_EXPORTS = {
+    "bytes_digest": "repro.integrity.digest",
+    "payload_digest": "repro.integrity.digest",
+    "corrupt_payload": "repro.integrity.digest",
+    "perturb_answer": "repro.integrity.digest",
+    "ResultEnvelope": "repro.integrity.envelope",
+    "seal": "repro.integrity.envelope",
+    "verify_answer": "repro.integrity.answers",
+    "verify_sweep_result": "repro.integrity.invariants",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

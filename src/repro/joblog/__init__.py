@@ -10,21 +10,18 @@ population with domain-dependent linkage statistics, an nm-style symbol
 model, and the attribution analysis.
 """
 
-from repro.joblog.records import JobRecord, SymbolTable, looks_like_gemm_symbol
-from repro.joblog.generator import KComputerYear, generate_k_year
-from repro.joblog.analysis import (
-    GemmAttribution,
-    attribute_gemm_node_hours,
-    estimate_energy_savings,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobRecord",
-    "SymbolTable",
-    "looks_like_gemm_symbol",
-    "KComputerYear",
-    "generate_k_year",
-    "GemmAttribution",
-    "attribute_gemm_node_hours",
-    "estimate_energy_savings",
-]
+_EXPORTS = {
+    "JobRecord": "repro.joblog.records",
+    "SymbolTable": "repro.joblog.records",
+    "looks_like_gemm_symbol": "repro.joblog.records",
+    "KComputerYear": "repro.joblog.generator",
+    "generate_k_year": "repro.joblog.generator",
+    "GemmAttribution": "repro.joblog.analysis",
+    "attribute_gemm_node_hours": "repro.joblog.analysis",
+    "estimate_energy_savings": "repro.joblog.analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

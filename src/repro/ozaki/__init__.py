@@ -18,22 +18,21 @@ grows with the exponent *range* of the input, which is exactly the
 behaviour Table VIII measures (1e+8 / 1e+16 / 1e+32 input ranges).
 """
 
-from repro.ozaki.split import SplitMatrix, split_matrix
-from repro.ozaki.gemm import OzakiResult, ozaki_gemm, required_products
-from repro.ozaki.summation import compensated_sum, pairwise_fixed_sum
-from repro.ozaki.perf import OzakiPerfModel, emulated_gemm_performance
-from repro.ozaki.blas_ext import ozaki_dot, ozaki_gemv
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SplitMatrix",
-    "split_matrix",
-    "OzakiResult",
-    "ozaki_gemm",
-    "required_products",
-    "compensated_sum",
-    "pairwise_fixed_sum",
-    "OzakiPerfModel",
-    "emulated_gemm_performance",
-    "ozaki_dot",
-    "ozaki_gemv",
-]
+_EXPORTS = {
+    "SplitMatrix": "repro.ozaki.split",
+    "split_matrix": "repro.ozaki.split",
+    "OzakiResult": "repro.ozaki.gemm",
+    "ozaki_gemm": "repro.ozaki.gemm",
+    "required_products": "repro.ozaki.gemm",
+    "compensated_sum": "repro.ozaki.summation",
+    "pairwise_fixed_sum": "repro.ozaki.summation",
+    "OzakiPerfModel": "repro.ozaki.perf",
+    "emulated_gemm_performance": "repro.ozaki.perf",
+    "ozaki_dot": "repro.ozaki.blas_ext",
+    "ozaki_gemv": "repro.ozaki.blas_ext",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

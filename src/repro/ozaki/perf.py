@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from repro.errors import OzakiError
 from repro.harness.cache import memoize_substrate
@@ -136,7 +137,7 @@ class OzakiPerfModel:
         slices: list[int] = []
         products: list[int] = []
         for trial in range(3):  # average out sampling noise
-            rng = np.random.default_rng(seed + trial)
+            rng = default_rng(seed + trial)
             a = sample_input((sample_size, sample_size), input_range, rng)
             b = sample_input((sample_size, sample_size), input_range, rng)
             if target == "sgemm":

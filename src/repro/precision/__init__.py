@@ -8,46 +8,29 @@ semantics of a *hybrid* matrix engine — one that multiplies in a narrow
 format and accumulates in a wider one (Sec. II-B of the paper).
 """
 
-from repro.precision.formats import (
-    BF16,
-    FP16,
-    FP32,
-    FP64,
-    TF32,
-    FloatFormat,
-    parse_format,
-)
-from repro.precision.rounding import quantize, representable, ulp
-from repro.precision.megemm import MatrixEngineGemm, me_gemm
-from repro.precision.analysis import (
-    max_relative_error,
-    max_ulp_error,
-    relative_frobenius_error,
-)
-from repro.precision.refinement import (
-    RefinementResult,
-    lu_iterative_refinement,
-)
-from repro.precision.markidis import MarkidisResult, markidis_gemm
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FloatFormat",
-    "FP16",
-    "BF16",
-    "TF32",
-    "FP32",
-    "FP64",
-    "parse_format",
-    "quantize",
-    "representable",
-    "ulp",
-    "MatrixEngineGemm",
-    "me_gemm",
-    "max_relative_error",
-    "max_ulp_error",
-    "relative_frobenius_error",
-    "RefinementResult",
-    "lu_iterative_refinement",
-    "MarkidisResult",
-    "markidis_gemm",
-]
+_EXPORTS = {
+    "FloatFormat": "repro.precision.formats",
+    "FP16": "repro.precision.formats",
+    "BF16": "repro.precision.formats",
+    "TF32": "repro.precision.formats",
+    "FP32": "repro.precision.formats",
+    "FP64": "repro.precision.formats",
+    "parse_format": "repro.precision.formats",
+    "quantize": "repro.precision.rounding",
+    "representable": "repro.precision.rounding",
+    "ulp": "repro.precision.rounding",
+    "MatrixEngineGemm": "repro.precision.megemm",
+    "me_gemm": "repro.precision.megemm",
+    "max_relative_error": "repro.precision.analysis",
+    "max_ulp_error": "repro.precision.analysis",
+    "relative_frobenius_error": "repro.precision.analysis",
+    "RefinementResult": "repro.precision.refinement",
+    "lu_iterative_refinement": "repro.precision.refinement",
+    "MarkidisResult": "repro.precision.markidis",
+    "markidis_gemm": "repro.precision.markidis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

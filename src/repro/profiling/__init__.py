@@ -11,18 +11,17 @@ classifier maps region names onto the paper's buckets, and the report
 layer computes the utilization fractions Fig. 3 plots.
 """
 
-from repro.profiling.regions import RegionClass, RegionStats
-from repro.profiling.scorep import Profiler
-from repro.profiling.classify import classify_region
-from repro.profiling.report import UtilizationReport
-from repro.profiling.advisor import RooflineScan, scan_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RegionClass",
-    "RegionStats",
-    "Profiler",
-    "classify_region",
-    "UtilizationReport",
-    "RooflineScan",
-    "scan_trace",
-]
+_EXPORTS = {
+    "RegionClass": "repro.profiling.regions",
+    "RegionStats": "repro.profiling.regions",
+    "Profiler": "repro.profiling.scorep",
+    "classify_region": "repro.profiling.classify",
+    "UtilizationReport": "repro.profiling.report",
+    "RooflineScan": "repro.profiling.advisor",
+    "scan_trace": "repro.profiling.advisor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

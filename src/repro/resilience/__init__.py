@@ -16,47 +16,30 @@ Two halves, mirroring :mod:`repro.scenario`'s spec/ambient split:
   engine's handler execution.
 """
 
-from repro.resilience.breaker import BreakerRegistry, CircuitBreaker
-from repro.resilience.cancel import (
-    CancellationToken,
-    active_token,
-    cancel_context,
-    cancel_point,
-)
-from repro.resilience.faultplan import (
-    EMPTY_FAULT_PLAN,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    active_injector,
-    fault_context,
-    fault_plan_fingerprint,
-    fault_plan_from_dict,
-    fault_plan_to_dict,
-    fault_point,
-    load_fault_plan,
-)
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy, retry_call
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultRule",
-    "FaultPlan",
-    "FaultInjector",
-    "EMPTY_FAULT_PLAN",
-    "fault_plan_from_dict",
-    "fault_plan_to_dict",
-    "fault_plan_fingerprint",
-    "load_fault_plan",
-    "fault_context",
-    "active_injector",
-    "fault_point",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
-    "retry_call",
-    "CircuitBreaker",
-    "BreakerRegistry",
-    "CancellationToken",
-    "cancel_context",
-    "active_token",
-    "cancel_point",
-]
+_EXPORTS = {
+    "FaultRule": "repro.resilience.faultplan",
+    "FaultPlan": "repro.resilience.faultplan",
+    "FaultInjector": "repro.resilience.faultplan",
+    "EMPTY_FAULT_PLAN": "repro.resilience.faultplan",
+    "fault_plan_from_dict": "repro.resilience.faultplan",
+    "fault_plan_to_dict": "repro.resilience.faultplan",
+    "fault_plan_fingerprint": "repro.resilience.faultplan",
+    "load_fault_plan": "repro.resilience.faultplan",
+    "fault_context": "repro.resilience.faultplan",
+    "active_injector": "repro.resilience.faultplan",
+    "fault_point": "repro.resilience.faultplan",
+    "RetryPolicy": "repro.resilience.retry",
+    "DEFAULT_RETRY_POLICY": "repro.resilience.retry",
+    "retry_call": "repro.resilience.retry",
+    "CircuitBreaker": "repro.resilience.breaker",
+    "BreakerRegistry": "repro.resilience.breaker",
+    "CancellationToken": "repro.resilience.cancel",
+    "cancel_context": "repro.resilience.cancel",
+    "active_token": "repro.resilience.cancel",
+    "cancel_point": "repro.resilience.cancel",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

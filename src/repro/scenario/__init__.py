@@ -21,52 +21,30 @@ what-ifs never share entries and a what-if never poisons the baseline.
 'int8me'
 """
 
-from repro.scenario.context import (
-    active_cache_token,
-    active_scenario,
-    scenario_context,
-)
-from repro.scenario.io import (
-    dump_scenario,
-    load_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from repro.scenario.spec import (
-    EMPTY_SCENARIO,
-    DeviceOverlay,
-    DomainEdit,
-    ExtrapolationOverlay,
-    KernelEdit,
-    MachineOverlay,
-    MemoryOverlay,
-    PhaseEdit,
-    ScenarioSpec,
-    UnitOverlay,
-    WorkloadOverlay,
-    canonical_scenario,
-    scenario_fingerprint,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "EMPTY_SCENARIO",
-    "DeviceOverlay",
-    "MemoryOverlay",
-    "UnitOverlay",
-    "WorkloadOverlay",
-    "PhaseEdit",
-    "KernelEdit",
-    "MachineOverlay",
-    "DomainEdit",
-    "ExtrapolationOverlay",
-    "canonical_scenario",
-    "scenario_fingerprint",
-    "active_scenario",
-    "active_cache_token",
-    "scenario_context",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "load_scenario",
-    "dump_scenario",
-]
+_EXPORTS = {
+    "ScenarioSpec": "repro.scenario.spec",
+    "EMPTY_SCENARIO": "repro.scenario.spec",
+    "DeviceOverlay": "repro.scenario.spec",
+    "MemoryOverlay": "repro.scenario.spec",
+    "UnitOverlay": "repro.scenario.spec",
+    "WorkloadOverlay": "repro.scenario.spec",
+    "PhaseEdit": "repro.scenario.spec",
+    "KernelEdit": "repro.scenario.spec",
+    "MachineOverlay": "repro.scenario.spec",
+    "DomainEdit": "repro.scenario.spec",
+    "ExtrapolationOverlay": "repro.scenario.spec",
+    "canonical_scenario": "repro.scenario.spec",
+    "scenario_fingerprint": "repro.scenario.spec",
+    "active_scenario": "repro.scenario.context",
+    "active_cache_token": "repro.scenario.context",
+    "scenario_context": "repro.scenario.context",
+    "scenario_from_dict": "repro.scenario.io",
+    "scenario_to_dict": "repro.scenario.io",
+    "load_scenario": "repro.scenario.io",
+    "dump_scenario": "repro.scenario.io",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

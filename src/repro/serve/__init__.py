@@ -32,43 +32,29 @@ liveness and breaker-aware readiness over HTTP.
 11.2%
 """
 
-from repro.errors import (
-    CircuitOpen,
-    QueryTimeout,
-    QueryValidationError,
-    ServeError,
-    ServiceOverloaded,
-)
-from repro.serve.client import HttpServeClient, ServeClient
-from repro.serve.engine import SERVE_RETRY_POLICY, QueryEngine, QueryResponse
-from repro.serve.handlers import DEFAULT_REGISTRY, SCENARIOS, default_registry
-from repro.serve.metrics import Metrics
-from repro.serve.queries import (
-    Query,
-    QueryKind,
-    QueryRegistry,
-    canonical_hash,
-    canonical_params,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueryEngine",
-    "QueryResponse",
-    "ServeClient",
-    "HttpServeClient",
-    "Metrics",
-    "Query",
-    "QueryKind",
-    "QueryRegistry",
-    "canonical_hash",
-    "canonical_params",
-    "default_registry",
-    "DEFAULT_REGISTRY",
-    "SCENARIOS",
-    "ServeError",
-    "QueryValidationError",
-    "ServiceOverloaded",
-    "QueryTimeout",
-    "CircuitOpen",
-    "SERVE_RETRY_POLICY",
-]
+_EXPORTS = {
+    "QueryEngine": "repro.serve.engine",
+    "QueryResponse": "repro.serve.engine",
+    "ServeClient": "repro.serve.client",
+    "HttpServeClient": "repro.serve.client",
+    "Metrics": "repro.serve.metrics",
+    "Query": "repro.serve.queries",
+    "QueryKind": "repro.serve.queries",
+    "QueryRegistry": "repro.serve.queries",
+    "canonical_hash": "repro.serve.queries",
+    "canonical_params": "repro.serve.queries",
+    "default_registry": "repro.serve.handlers",
+    "DEFAULT_REGISTRY": "repro.serve.handlers",
+    "SCENARIOS": "repro.serve.handlers",
+    "ServeError": "repro.errors",
+    "QueryValidationError": "repro.errors",
+    "ServiceOverloaded": "repro.errors",
+    "QueryTimeout": "repro.errors",
+    "CircuitOpen": "repro.errors",
+    "SERVE_RETRY_POLICY": "repro.serve.engine",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

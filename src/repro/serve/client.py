@@ -33,7 +33,7 @@ from repro.errors import (
     ServiceOverloaded,
     ShardUnavailable,
 )
-from repro.integrity import payload_digest
+from repro.integrity.digest import payload_digest
 from repro.serve.deadline import DEADLINE_HEADER, DeadlineBudget
 from repro.serve.engine import QueryEngine, QueryResponse
 

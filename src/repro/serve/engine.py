@@ -81,30 +81,22 @@ from repro.errors import (
     ServiceDraining,
     ServiceOverloaded,
 )
-from repro.integrity import (
-    ResultEnvelope,
-    corrupt_payload,
-    perturb_answer,
-    seal,
-    verify_answer,
-)
-from repro.resilience import (
-    BreakerRegistry,
-    CancellationToken,
+from repro.harness.cache import SUBSTRATE_CACHE
+from repro.integrity.answers import verify_answer
+from repro.integrity.digest import corrupt_payload, perturb_answer
+from repro.integrity.envelope import ResultEnvelope, seal
+from repro.resilience.breaker import BreakerRegistry
+from repro.resilience.cancel import CancellationToken, cancel_context
+from repro.resilience.faultplan import (
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     active_injector,
-    cancel_context,
     fault_context,
-    retry_call,
 )
-from repro.scenario import (
-    ScenarioSpec,
-    scenario_context,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from repro.resilience.retry import RetryPolicy, retry_call
+from repro.scenario.context import scenario_context
+from repro.scenario.io import scenario_from_dict, scenario_to_dict
+from repro.scenario.spec import ScenarioSpec
 from repro.serve.admission import AIMDLimiter
 from repro.serve.deadline import DeadlineBudget
 from repro.serve.metrics import Metrics
@@ -715,8 +707,6 @@ class QueryEngine:
         fresh answers for its kinds would be degraded or rejected).
         Also reports which substrates are warm in the process-wide cache
         and the active fault plan, so chaos runs are observable."""
-        from repro.harness.cache import SUBSTRATE_CACHE
-
         breakers = self._breakers.snapshot()
         ready = (
             self.started

@@ -48,7 +48,7 @@ from repro.hardware.roofline import (
     roofline_time,
 )
 from repro.ozaki.perf import emulated_gemm_performance
-from repro.resilience import cancel_point
+from repro.resilience.cancel import cancel_point
 from repro.serve.queries import QueryKind, QueryRegistry
 from repro.units import TERA
 

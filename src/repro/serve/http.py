@@ -61,6 +61,7 @@ from repro.serve.deadline import (
 from repro.serve.metrics import render_text_metrics
 from repro.serve.wire import (
     MAX_BODY_BYTES,
+    NO_STORE_HEADER,
     STATUS_BY_CODE,
     HttpServer,
     Request,
@@ -81,12 +82,6 @@ __all__ = [
     "build_parser",
     "load_scenario_files",
 ]
-
-#: Request header asking the engine not to cache the answer.  Sent by
-#: the cluster router's hedged-request backup: a duplicate answer
-#: inserted into the *backup* shard's LRU would evict entries that
-#: shard is actually warm for (cache pollution).
-NO_STORE_HEADER = "X-Repro-No-Store"
 
 #: Response header carrying the answer's sealed canonical SHA-256 (see
 #: :mod:`repro.integrity`): any downstream hop — the cluster router, an
@@ -373,18 +368,27 @@ def restore_snapshot(server: ServeHTTPServer, snapshot_file: str) -> None:
               flush=True)
 
 
-def shutdown_event(announce: str) -> threading.Event:
-    """An event the first SIGTERM/SIGINT sets, printing ``received
-    SIG…; <announce>``.  Later signals are ignored: the drain deadline
-    bounds shutdown either way."""
+class ShutdownEvent(threading.Event):
+    """Set by the first SIGTERM/SIGINT, whose name it keeps.  Later
+    signals are ignored: the drain deadline bounds shutdown either way."""
+
+    signal_name = ""
+
+    def announce(self, what: str) -> None:
+        """Print ``received SIG…; <what>``.  Called once admission is
+        closed, so a reader of the line knows later work is refused."""
+        print(f"received {self.signal_name}; {what}", flush=True)
+
+
+def shutdown_event() -> ShutdownEvent:
+    """A :class:`ShutdownEvent` wired to SIGTERM and SIGINT."""
     import signal
 
-    event = threading.Event()
+    event = ShutdownEvent()
 
     def _request_shutdown(signum: int, _frame: Any) -> None:
         if not event.is_set():
-            print(f"received {signal.Signals(signum).name}; {announce}",
-                  flush=True)
+            event.signal_name = signal.Signals(signum).name
             event.set()
 
     signal.signal(signal.SIGTERM, _request_shutdown)
@@ -409,11 +413,11 @@ def run_serve_loop(
     <url>"`` line — the cluster supervisor parses it), optionally flush
     the cache snapshot every ``snapshot_interval`` seconds so a
     SIGKILL'd worker still reboots warm from its last flush, and on the
-    first signal run the drain sequence: refuse new work, wait for
-    in-flight queries and the requests carrying them, flush the final
+    first signal run the drain sequence: refuse new work, then print
+    ``received SIG…; draining``, wait for in-flight queries and the requests carrying them, flush the final
     snapshot, exit cleanly.
     """
-    shutdown_requested = shutdown_event(f"draining (grace {drain_timeout:g}s)")
+    shutdown_requested = shutdown_event()
     server.start()
     print(banner or f"{name} listening on {server.url}", flush=True)
 
@@ -443,6 +447,7 @@ def run_serve_loop(
     # cleanly.
     t0 = time.monotonic()
     server.begin_drain()
+    shutdown_requested.announce(f"draining (grace {drain_timeout:g}s)")
     engine_idle = server.client.drain(drain_timeout)
     remaining = max(0.0, drain_timeout - (time.monotonic() - t0))
     http_idle = server.await_quiescence(remaining)
@@ -507,9 +512,7 @@ def _serve_cluster(parser: argparse.ArgumentParser,
         )
     except ClusterError as exc:  # e.g. --fault-plan-shard out of range
         parser.error(str(exc))
-    shutdown_requested = shutdown_event(
-        f"draining cluster (grace {args.drain_timeout:g}s)"
-    )
+    shutdown_requested = shutdown_event()
     supervisor.start()
     print(
         f"repro-serve cluster listening on {supervisor.url} "
@@ -517,6 +520,10 @@ def _serve_cluster(parser: argparse.ArgumentParser,
         flush=True,
     )
     shutdown_requested.wait()
+    supervisor.router.begin_drain()
+    shutdown_requested.announce(
+        f"draining cluster (grace {args.drain_timeout:g}s)"
+    )
     supervisor.stop()
     print("repro-serve cluster exited cleanly", flush=True)
     return 0

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import QueryValidationError
-from repro.scenario import ScenarioSpec, scenario_context
+from repro.harness.pipeline import SUBSTRATES
+from repro.scenario.context import scenario_context
+from repro.scenario.spec import ScenarioSpec
 
 __all__ = [
     "QueryKind",
@@ -148,8 +150,6 @@ class QueryKind:
 
     def substrate_seeds(self) -> tuple[tuple[str, int | None], ...]:
         """(substrate, seed) pairs governing this kind's answers."""
-        from repro.harness.pipeline import SUBSTRATES
-
         return tuple(
             (name, SUBSTRATES[name].seed if name in SUBSTRATES else None)
             for name in self.substrates

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import SnapshotError
-from repro.integrity import ResultEnvelope, seal
+from repro.integrity.envelope import ResultEnvelope, seal
 
 __all__ = [
     "SNAPSHOT_FORMAT",

@@ -31,6 +31,7 @@ from repro.errors import (
 __all__ = [
     "HttpServer",
     "MAX_BODY_BYTES",
+    "NO_STORE_HEADER",
     "Request",
     "Response",
     "STATUS_BY_CODE",
@@ -75,6 +76,12 @@ MAX_LINE_BYTES = 64 << 10
 #: clients connects at once; a burst must reach the engine, which sheds
 #: with typed 429s instead.
 LISTEN_BACKLOG = 128
+
+#: Request header asking the engine not to cache the answer.  Sent by
+#: the cluster router's hedged-request backup: a duplicate answer
+#: inserted into the *backup* shard's LRU would evict entries that
+#: shard is actually warm for (cache pollution).
+NO_STORE_HEADER = "X-Repro-No-Store"
 
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 

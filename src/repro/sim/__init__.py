@@ -9,25 +9,20 @@ roofline and energy models of :mod:`repro.hardware`.  The
 sampled NVML/PCM counters (Fig. 1, Table II).
 """
 
-from repro.sim.kernels import KernelKind, KernelLaunch
-from repro.sim.trace import KernelRecord, Trace
-from repro.sim.engine import SimulatedDevice
-from repro.sim.power import PowerSampler, PowerSample
-from repro.sim.context import (
-    ExecutionContext,
-    current_context,
-    execution_context,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelKind",
-    "KernelLaunch",
-    "KernelRecord",
-    "Trace",
-    "SimulatedDevice",
-    "PowerSampler",
-    "PowerSample",
-    "ExecutionContext",
-    "current_context",
-    "execution_context",
-]
+_EXPORTS = {
+    "KernelKind": "repro.sim.kernels",
+    "KernelLaunch": "repro.sim.kernels",
+    "KernelRecord": "repro.sim.trace",
+    "Trace": "repro.sim.trace",
+    "SimulatedDevice": "repro.sim.engine",
+    "PowerSampler": "repro.sim.power",
+    "PowerSample": "repro.sim.power",
+    "ExecutionContext": "repro.sim.context",
+    "current_context": "repro.sim.context",
+    "execution_context": "repro.sim.context",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,15 +10,16 @@ analysis: multi-source BFS over the reversed dependency DAG, with and
 without merging language sub-packages into their parents.
 """
 
-from repro.spackdep.graph import DependencyGraph, Package
-from repro.spackdep.generator import BLAS_PROVIDERS, generate_spack_index
-from repro.spackdep.analysis import DistanceTable, dependency_distances
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Package",
-    "DependencyGraph",
-    "BLAS_PROVIDERS",
-    "generate_spack_index",
-    "DistanceTable",
-    "dependency_distances",
-]
+_EXPORTS = {
+    "Package": "repro.spackdep.graph",
+    "DependencyGraph": "repro.spackdep.graph",
+    "BLAS_PROVIDERS": "repro.spackdep.generator",
+    "generate_spack_index": "repro.spackdep.generator",
+    "DistanceTable": "repro.spackdep.analysis",
+    "dependency_distances": "repro.spackdep.analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

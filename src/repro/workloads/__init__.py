@@ -15,32 +15,21 @@ constant is marked CALIBRATED in its docstring and recorded in
 EXPERIMENTS.md.
 """
 
-from repro.workloads.base import (
-    KernelMixWorkload,
-    PhaseSpec,
-    Workload,
-    WorkloadMeta,
-    profile_all_workloads,
-    profile_workload,
-)
-from repro.workloads.registry import (
-    all_workloads,
-    get_workload,
-    suite_names,
-    workloads_by_suite,
-    workload_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadMeta",
-    "KernelMixWorkload",
-    "PhaseSpec",
-    "profile_workload",
-    "profile_all_workloads",
-    "get_workload",
-    "all_workloads",
-    "workload_names",
-    "workloads_by_suite",
-    "suite_names",
-]
+_EXPORTS = {
+    "Workload": "repro.workloads.base",
+    "WorkloadMeta": "repro.workloads.base",
+    "KernelMixWorkload": "repro.workloads.base",
+    "PhaseSpec": "repro.workloads.base",
+    "profile_workload": "repro.workloads.base",
+    "profile_all_workloads": "repro.workloads.base",
+    "get_workload": "repro.workloads.registry",
+    "all_workloads": "repro.workloads.registry",
+    "workload_names": "repro.workloads.registry",
+    "workloads_by_suite": "repro.workloads.registry",
+    "suite_names": "repro.workloads.registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,7 +12,15 @@ import threading
 from collections import OrderedDict
 
 from repro.errors import WorkloadError
+from repro.scenario.context import active_scenario
+from repro.scenario.resolve import resolve_workloads
 from repro.workloads.base import Workload
+from repro.workloads.ecp import ECP_WORKLOADS
+from repro.workloads.riken import RIKEN_WORKLOADS
+from repro.workloads.speccpu import SPEC_CPU_WORKLOADS
+from repro.workloads.specmpi import SPEC_MPI_WORKLOADS
+from repro.workloads.specomp import SPEC_OMP_WORKLOADS
+from repro.workloads.top500 import HPCG, HPL
 
 __all__ = [
     "all_workloads",
@@ -37,13 +45,6 @@ EXPECTED_COUNTS = {
 
 
 def _build() -> dict[str, Workload]:
-    from repro.workloads.ecp import ECP_WORKLOADS
-    from repro.workloads.riken import RIKEN_WORKLOADS
-    from repro.workloads.speccpu import SPEC_CPU_WORKLOADS
-    from repro.workloads.specmpi import SPEC_MPI_WORKLOADS
-    from repro.workloads.specomp import SPEC_OMP_WORKLOADS
-    from repro.workloads.top500 import HPCG, HPL
-
     catalogue: dict[str, Workload] = {}
     for w in (
         (HPL(), HPCG())
@@ -77,8 +78,6 @@ def _builtin_catalogue() -> dict[str, Workload]:
 def _overlay_workloads() -> dict[str, Workload]:
     """The active scenario's resolved workloads (``{}`` for baseline),
     cached per scenario fingerprint."""
-    from repro.scenario.context import active_scenario
-
     spec = active_scenario()
     if not spec.workloads:
         return {}
@@ -87,8 +86,6 @@ def _overlay_workloads() -> dict[str, Workload]:
         if token in _overlay_cache:
             _overlay_cache.move_to_end(token)
             return _overlay_cache[token]
-    from repro.scenario.resolve import resolve_workloads
-
     resolved = resolve_workloads(spec)
     with _overlay_mutex:
         _overlay_cache[token] = resolved
