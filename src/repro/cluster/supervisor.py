@@ -35,7 +35,7 @@ from repro.cluster.protocol import ShardTable, parse_worker_banner
 from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterRouter
 from repro.errors import ClusterError
-from repro.serve.http import load_scenario_files
+from repro.scenario.io import load_scenario_files
 
 __all__ = ["ClusterSupervisor"]
 

@@ -23,8 +23,10 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "SplitMatrix": "repro.ozaki.split",
     "split_matrix": "repro.ozaki.split",
+    "OzakiPlan": "repro.ozaki.gemm",
     "OzakiResult": "repro.ozaki.gemm",
     "ozaki_gemm": "repro.ozaki.gemm",
+    "plan_products": "repro.ozaki.gemm",
     "required_products": "repro.ozaki.gemm",
     "compensated_sum": "repro.ozaki.summation",
     "pairwise_fixed_sum": "repro.ozaki.summation",

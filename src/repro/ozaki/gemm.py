@@ -23,6 +23,11 @@ input-range-dependent cost Table VIII measures.
 
 Every kept pair product is exact on the engine and the final summation
 order is fixed, so results are bit-reproducible for a fixed mode.
+
+The work is split into a plan and its execution: :func:`plan_products`
+splits both operands and selects the pairs — everything that sets the
+cost — and :func:`ozaki_gemm` runs that plan's products, rescales and
+sums them.  The performance model prices a GEMM from the plan alone.
 """
 
 from __future__ import annotations
@@ -37,11 +42,20 @@ from repro.precision.megemm import MatrixEngineGemm
 from repro.ozaki.split import SplitMatrix, split_matrix
 from repro.ozaki.summation import compensated_sum, pairwise_fixed_sum
 
-__all__ = ["OzakiResult", "ozaki_gemm", "required_products"]
+__all__ = [
+    "OzakiPlan",
+    "OzakiResult",
+    "ozaki_gemm",
+    "plan_products",
+    "required_products",
+]
 
 _DEFAULT_ENGINE = MatrixEngineGemm(FP16, FP32)
 
 _TARGET_BITS = {"sgemm": 24, "dgemm": 53, "full": None}
+
+#: An exponent no pair reaches (or every pair reaches, negated).
+_NEVER = 1 << 40
 
 
 def required_products(
@@ -79,15 +93,26 @@ def required_products(
     # exact-zero magnitudes from keeping every pair alive).
     mag_floor = float(np.max(magnitude)) * 2.0**-200 if np.max(magnitude) > 0 else 0.0
     thresh = (2.0**-target_bits) * np.maximum(magnitude, mag_floor)
-    factor = float(k) * 4.0**beta
-    pairs: list[tuple[int, int]] = []
-    # Row maxima of the per-row threshold let us pre-reject cheaply.
-    for i in range(s_a):
-        ga = scales_a[i]
-        for j in range(s_b):
-            bound = factor * np.multiply.outer(ga, scales_b[j])
-            if (bound > thresh).any():
-                pairs.append((i, j))
+    # Every scale is a power of two, so the bound on element (r, q) of
+    # pair (i, j) is factor * 2^(ea[i,r] + eb[j,q]).  With factor =
+    # mf * 2^ef and thresh = mt * 2^et (mantissas in [0.5, 1)), the test
+    # bound > thresh is exactly ea + eb >= et - ef + [mf <= mt]: integer
+    # arithmetic, no products formed.
+    mf, ef = np.frexp(float(k) * 4.0**beta)
+    mt, et = np.frexp(thresh)
+    need = et.astype(np.int64) - int(ef) + (mf <= mt)
+    # A zero threshold is beaten by every (positive) bound, an infinite
+    # one by none.
+    need[thresh == 0.0] = -_NEVER
+    need[np.isinf(thresh)] = _NEVER
+    ea = np.frexp(np.stack(scales_a[:s_a]))[1].astype(np.int64) - 1  # (s_a, m)
+    eb = np.frexp(np.stack(scales_b[:s_b]))[1].astype(np.int64) - 1  # (s_b, n)
+    # Keep (i, j) iff some (r, q) has ea[i,r] + eb[j,q] >= need[r,q]: two
+    # max-plus reductions, first over r (one m x n pass per slice of A),
+    # then over q.
+    u = np.stack([(ea_i[:, None] - need).max(axis=0) for ea_i in ea])
+    keep = (u[:, None, :] + eb[None, :, :]).max(axis=2) >= 0
+    pairs = list(zip(*(idx.tolist() for idx in np.nonzero(keep))))
     pairs.sort(key=lambda ij: (ij[0] + ij[1], ij[0]))
     return pairs
 
@@ -119,6 +144,24 @@ def _magnitude_lower_bound(
 
 
 @dataclass(frozen=True)
+class OzakiPlan:
+    """The splits and kept slice pairs of one emulated GEMM — everything
+    that sets its cost, before any engine product runs."""
+
+    split_a: SplitMatrix
+    split_b: SplitMatrix
+    pairs: tuple[tuple[int, int], ...]
+    beta: int
+    accuracy: str
+
+    @property
+    def num_products(self) -> int:
+        """Matrix-engine GEMMs the plan consumes — the cost driver of
+        Table VIII."""
+        return len(self.pairs)
+
+
+@dataclass(frozen=True)
 class OzakiResult:
     """Result and cost accounting of one emulated GEMM."""
 
@@ -133,6 +176,56 @@ class OzakiResult:
     def num_products(self) -> int:
         """Matrix-engine GEMMs consumed — the cost driver of Table VIII."""
         return len(self.pairs)
+
+
+def plan_products(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    engine: MatrixEngineGemm = _DEFAULT_ENGINE,
+    accuracy: str = "dgemm",
+    max_slices: int = 64,
+    beta: int | None = None,
+) -> OzakiPlan:
+    """Split both operands and select the slice pairs ``accuracy`` keeps.
+
+    Parameters are those of :func:`ozaki_gemm`.  No engine product runs:
+    this is what prices an emulated GEMM (see :mod:`repro.ozaki.perf`).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise OzakiError(f"non-conformable operands: {a.shape} @ {b.shape}")
+    k = a.shape[1]
+    beta_max = engine.exact_slice_bits(k)
+    if beta is None:
+        beta = beta_max
+    elif beta > beta_max:
+        raise OzakiError(
+            f"beta={beta} exceeds the exact width {beta_max} for k={k}"
+        )
+    if beta < 1:
+        raise OzakiError(
+            f"engine accumulator too narrow for k={k}: no exact slice width"
+        )
+    sa = split_matrix(a, beta, axis=0, max_slices=max_slices)
+    sb = split_matrix(b, beta, axis=1, max_slices=max_slices)
+    magnitude = None
+    if accuracy != "full":
+        magnitude = _magnitude_lower_bound(a, b)
+    pairs = required_products(
+        sa.num_slices,
+        sb.num_slices,
+        beta,
+        accuracy,
+        scales_a=sa.scales,
+        scales_b=sb.scales,
+        magnitude=magnitude,
+        k=k,
+    )
+    return OzakiPlan(
+        split_a=sa, split_b=sb, pairs=tuple(pairs), beta=beta, accuracy=accuracy
+    )
 
 
 def ozaki_gemm(
@@ -167,46 +260,18 @@ def ozaki_gemm(
         matrices.  Must not exceed the engine's exact width for this
         ``k``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise OzakiError(f"non-conformable operands: {a.shape} @ {b.shape}")
-    k = a.shape[1]
-    beta_max = engine.exact_slice_bits(k)
-    if beta is None:
-        beta = beta_max
-    elif beta > beta_max:
-        raise OzakiError(
-            f"beta={beta} exceeds the exact width {beta_max} for k={k}"
-        )
-    if beta < 1:
-        raise OzakiError(
-            f"engine accumulator too narrow for k={k}: no exact slice width"
-        )
-    sa = split_matrix(a, beta, axis=0, max_slices=max_slices)
-    sb = split_matrix(b, beta, axis=1, max_slices=max_slices)
-    magnitude = None
-    if accuracy != "full":
-        magnitude = _magnitude_lower_bound(a, b)
-    pairs = required_products(
-        sa.num_slices,
-        sb.num_slices,
-        beta,
-        accuracy,
-        scales_a=sa.scales,
-        scales_b=sb.scales,
-        magnitude=magnitude,
-        k=k,
+    plan = plan_products(
+        a, b, engine=engine, accuracy=accuracy, max_slices=max_slices, beta=beta
     )
-
+    sa, sb = plan.split_a, plan.split_b
     terms: list[np.ndarray] = []
-    for i, j in pairs:
+    for i, j in plan.pairs:
         # Exact engine product of integer-valued scaled slices …
         p = engine(sa.scaled[i], sb.scaled[j], pre_rounded=True)
         # … rescaled by the (power-of-two, hence exact) row/col factors.
         terms.append(p * sa.scales[i][:, None] * sb.scales[j][None, :])
     if not terms:
-        c = np.zeros((a.shape[0], b.shape[1]))
+        c = np.zeros((sa.scaled[0].shape[0], sb.scaled[0].shape[1]))
     elif compensated:
         c = compensated_sum(terms)
     else:
@@ -215,7 +280,7 @@ def ozaki_gemm(
         c=c,
         split_a=sa,
         split_b=sb,
-        pairs=tuple(pairs),
-        beta=beta,
-        accuracy=accuracy,
+        pairs=plan.pairs,
+        beta=plan.beta,
+        accuracy=plan.accuracy,
     )

@@ -6,8 +6,9 @@ bandwidth-bound fp64 passes.  This module prices one emulated GEMM on a
 simulated device and reports the Table VIII quantities: effective
 Tflop/s (``2 n^3 / walltime``), average Watt, and Gflop/J.
 
-Slice and product counts come from running the *real* splitter and the
-real pair-selection logic of :func:`repro.ozaki.gemm.ozaki_gemm` on a
+Slice and product counts come from running the real splitter and the
+real pair selection (:func:`repro.ozaki.gemm.plan_products`, the plan
+half of :func:`repro.ozaki.gemm.ozaki_gemm`; no product is formed) on a
 small matrix sampled with the target input distribution (log-uniform
 magnitudes across the stated range), using the slice width ``beta`` that
 the full-size ``k`` dictates — the counts depend on the distribution,
@@ -31,7 +32,7 @@ from repro.hardware.specs import DeviceSpec
 from repro.precision.formats import FP16, FP32
 from repro.precision.megemm import MatrixEngineGemm
 from repro.precision.rounding import quantize
-from repro.ozaki.gemm import ozaki_gemm
+from repro.ozaki.gemm import plan_products
 from repro.sim.engine import SimulatedDevice
 from repro.sim.kernels import KernelKind, KernelLaunch
 from repro.units import GIGA, TERA
@@ -121,9 +122,10 @@ class OzakiPerfModel:
         sample_size: int = 96,
         seed: int = 20210517,
     ) -> tuple[int, int]:
-        """(slices, products) measured by running the real Ozaki pipeline
-        on a distribution-matched sample, with the slice width ``beta``
-        the full-size ``k`` dictates.
+        """(slices, products) measured by running the real splitter and
+        pair selection on a distribution-matched sample, with the slice
+        width ``beta`` the full-size ``k`` dictates.  Pricing needs the
+        counts only, so no engine product or summation runs.
 
         For the SGEMM-TC rows the operands are binary32 data, so the
         sample is quantized to fp32 before splitting (fewer mantissa
@@ -143,11 +145,11 @@ class OzakiPerfModel:
             if target == "sgemm":
                 a = quantize(a, FP32)
                 b = quantize(b, FP32)
-            res = ozaki_gemm(
+            plan = plan_products(
                 a, b, engine=self.engine, accuracy=target, beta=beta
             )
-            slices.append(max(res.split_a.num_slices, res.split_b.num_slices))
-            products.append(res.num_products)
+            slices.append(max(plan.split_a.num_slices, plan.split_b.num_slices))
+            products.append(plan.num_products)
         s = round(sum(slices) / len(slices))
         mean_products = sum(products) / len(products)
         return s, max(1, round(mean_products * self.pair_efficiency))
@@ -249,8 +251,8 @@ def emulated_gemm_performance(
 ) -> tuple[EmulatedGemmReport, ...]:
     """Regenerate the full Table VIII row set for one device.
 
-    Memoized as the ``ozaki_splits`` substrate — the split/summation
-    sampling behind it dominates a full ``repro-paper`` run, so the
+    Memoized as the ``ozaki_splits`` substrate: the six emulation rows
+    each split and select pairs on three sampled operand pairs, so the
     reports are computed once per ``(n, device)`` and shared.
     """
     model = OzakiPerfModel(device)

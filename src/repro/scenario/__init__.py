@@ -43,6 +43,7 @@ _EXPORTS = {
     "scenario_from_dict": "repro.scenario.io",
     "scenario_to_dict": "repro.scenario.io",
     "load_scenario": "repro.scenario.io",
+    "load_scenario_files": "repro.scenario.io",
     "dump_scenario": "repro.scenario.io",
 }
 

@@ -35,6 +35,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
+    "load_scenario_files",
     "dump_scenario",
 ]
 
@@ -130,6 +131,21 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     except ValueError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)
+
+
+def load_scenario_files(paths: list[str]) -> list[ScenarioSpec]:
+    """Load each ``--scenario`` file for registration, exiting with the
+    first bad one's error before anything starts."""
+    specs = []
+    for path in paths:
+        try:
+            spec = load_scenario(path)
+            if not spec.name:
+                raise ScenarioError("a registered scenario needs a name")
+        except ScenarioError as exc:
+            raise SystemExit(f"--scenario {path}: {exc}")
+        specs.append(spec)
+    return specs
 
 
 def dump_scenario(spec: ScenarioSpec, path: str | Path) -> Path:

@@ -50,6 +50,7 @@ import urllib.parse
 from typing import Any, Callable
 
 from repro.errors import QueryValidationError, ReproError
+from repro.scenario.io import load_scenario_files
 
 from repro.serve.client import ServeClient
 from repro.serve.deadline import (
@@ -317,24 +318,6 @@ def load_fault_plan_arg(path: str | None):
         return load_fault_plan(path)
     except FaultPlanError as exc:
         raise SystemExit(f"--fault-plan: {exc}")
-
-
-def load_scenario_files(paths: list[str]) -> list[Any]:
-    """Load each ``--scenario`` file for registration, exiting with the
-    first bad one's error before anything starts."""
-    from repro.errors import ScenarioError
-    from repro.scenario import load_scenario
-
-    specs = []
-    for path in paths:
-        try:
-            spec = load_scenario(path)
-            if not spec.name:
-                raise ScenarioError("a registered scenario needs a name")
-        except ScenarioError as exc:
-            raise SystemExit(f"--scenario {path}: {exc}")
-        specs.append(spec)
-    return specs
 
 
 def restore_snapshot(server: ServeHTTPServer, snapshot_file: str) -> None:

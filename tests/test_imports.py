@@ -76,6 +76,7 @@ def test_boot_path_loads_no_heavy_module():
 
 @pytest.mark.parametrize("module", [
     "repro.cluster.protocol", "repro.cluster.router",
+    "repro.cluster.supervisor",
 ])
 def test_cluster_modules_do_not_load_the_front_end(module):
     # A worker runs repro.serve.http as __main__; loading it again under

@@ -1,19 +1,32 @@
 """Tests for the Ozaki-scheme GEMM emulation and its perf model."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.ozaki.gemm as gemm_module
 from repro.errors import OzakiError
+from repro.harness.cache import SUBSTRATE_CACHE
+from repro.harness.tables import table_viii
 from repro.ozaki import (
     OzakiPerfModel,
     emulated_gemm_performance,
     ozaki_gemm,
+    plan_products,
     required_products,
+    split_matrix,
 )
+from repro.ozaki.gemm import _magnitude_lower_bound
 from repro.ozaki.summation import compensated_sum, pairwise_fixed_sum
-from repro.precision import FP32, FP64, MatrixEngineGemm
+from repro.precision import FP16, FP32, MatrixEngineGemm
+from repro.precision.rounding import quantize
+
+GOLDEN_TABLE8 = Path(__file__).resolve().parent.parent / "artifacts" / "table8.json"
 
 
 def wide(rng, shape, decades):
@@ -130,8 +143,6 @@ class TestReproducibility:
         # Recompute every pair product in two halves of k.
         terms = []
         sa, sb = whole.split_a, whole.split_b
-        from repro.precision import FP16
-
         eng = MatrixEngineGemm(FP16, FP32)
         for i, j in whole.pairs:
             qa, qb = sa.scaled[i], sb.scaled[j]
@@ -165,6 +176,126 @@ class TestValidation:
     def test_required_products_reduced_needs_scales(self):
         with pytest.raises(OzakiError):
             required_products(3, 3, 5, "dgemm")
+
+
+def required_products_loop(s_a, s_b, beta, accuracy, *, scales_a,
+                           scales_b, magnitude, k):
+    """Reference pair selection: form every pair's element-wise bound
+    and compare it with the threshold, one pair at a time."""
+    if accuracy == "full":
+        pairs = [(i, j) for i in range(s_a) for j in range(s_b)]
+    else:
+        target_bits = {"sgemm": 24, "dgemm": 53}[accuracy]
+        mag_floor = float(np.max(magnitude)) * 2.0**-200 if np.max(magnitude) > 0 else 0.0
+        thresh = (2.0**-target_bits) * np.maximum(magnitude, mag_floor)
+        factor = float(k) * 4.0**beta
+        pairs = [
+            (i, j)
+            for i in range(s_a)
+            for j in range(s_b)
+            if (factor * np.multiply.outer(scales_a[i], scales_b[j]) > thresh).any()
+        ]
+    pairs.sort(key=lambda ij: (ij[0] + ij[1], ij[0]))
+    return pairs
+
+
+@st.composite
+def pair_selection_cases(draw):
+    """Operands and a pair-selection configuration: magnitudes spread
+    over up to 120 decades, optionally zero rows/columns or an all-zero
+    operand, optionally fp32 or power-of-two data, a ``k`` that need
+    not be a power of two, and any exact slice width for it."""
+    m = draw(st.integers(1, 8))
+    inner = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8))
+    fp32 = draw(st.booleans())
+    # log10 of the largest magnitude, kept inside the data format.
+    top = draw(st.floats(0.0, 36.0 if fp32 else 120.0))
+    decades = draw(st.floats(0.0, 70.0 if fp32 else 120.0))
+    # Signed powers of two make bound and threshold tie in mantissa.
+    dyadic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):
+        x = rng.normal(size=shape) * 10.0 ** (
+            top - rng.uniform(0.0, decades, size=shape)
+        )
+        if dyadic:
+            x = np.sign(x) * 2.0 ** np.round(np.log2(np.abs(x)))
+        return quantize(x, FP32) if fp32 else x
+
+    a = operand((m, inner))
+    b = operand((inner, n))
+    a[draw(st.lists(st.integers(0, m - 1), max_size=m)), :] = 0.0
+    b[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    zero = draw(st.sampled_from([None, "a", "b"]))
+    if zero == "a":
+        a[:] = 0.0
+    elif zero == "b":
+        b[:] = 0.0
+    accuracy = draw(st.sampled_from(["sgemm", "dgemm", "full"]))
+    k = draw(st.sampled_from([inner, 3, 96, 1000, 8192]))
+    beta = draw(st.integers(1, MatrixEngineGemm(FP16, FP32).exact_slice_bits(k)))
+    return a, b, accuracy, k, beta
+
+
+class TestPairSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_selection_cases())
+    def test_matches_the_per_pair_loop(self, case):
+        a, b, accuracy, k, beta = case
+        sa = split_matrix(a, beta, axis=0)
+        sb = split_matrix(b, beta, axis=1)
+        kwargs = dict(
+            scales_a=sa.scales,
+            scales_b=sb.scales,
+            magnitude=_magnitude_lower_bound(a, b),
+            k=k,
+        )
+        expected = required_products_loop(
+            sa.num_slices, sb.num_slices, beta, accuracy, **kwargs
+        )
+        got = required_products(
+            sa.num_slices, sb.num_slices, beta, accuracy, **kwargs
+        )
+        assert got == expected
+        assert all(type(i) is int and type(j) is int for i, j in got)
+
+    @pytest.mark.parametrize("magnitude, kept", [
+        (0.0, [(0, 0), (0, 1), (1, 0), (1, 1)]),  # every bound beats it
+        (np.inf, []),  # an overflowed |A||B| estimate: no bound beats it
+    ])
+    def test_degenerate_thresholds(self, magnitude, kept):
+        scales = (np.full(2, 2.0**900), np.full(2, 0.5))
+        kwargs = dict(
+            scales_a=scales, scales_b=scales,
+            magnitude=np.full((2, 2), magnitude), k=5,
+        )
+        assert required_products(2, 2, 3, "dgemm", **kwargs) == kept
+        assert required_products_loop(2, 2, 3, "dgemm", **kwargs) == kept
+
+    @pytest.mark.parametrize("k", [1, 3, 96])
+    def test_a_bound_equal_to_the_threshold_drops_the_pair(self, k):
+        # dgemm threshold = 2^-53 * magnitude; one slice, unit scales,
+        # beta = 1: the bound is 4k, so 4k * 2^53 ties it exactly.
+        tie = 4.0 * k * 2.0**53
+        for magnitude, kept in ((tie, []), (np.nextafter(tie, 0.0), [(0, 0)])):
+            kwargs = dict(
+                scales_a=(np.ones(1),), scales_b=(np.ones(1),),
+                magnitude=np.full((1, 1), magnitude), k=k,
+            )
+            assert required_products(1, 1, 1, "dgemm", **kwargs) == kept
+            assert required_products_loop(1, 1, 1, "dgemm", **kwargs) == kept
+
+    def test_plan_is_the_products_ozaki_gemm_runs(self, rng):
+        a = wide(rng, (12, 12), 16)
+        b = wide(rng, (12, 12), 16)
+        plan = plan_products(a, b, accuracy="dgemm")
+        res = ozaki_gemm(a, b, accuracy="dgemm")
+        assert plan.pairs == res.pairs
+        assert plan.num_products == res.num_products
+        assert plan.beta == res.beta
+        assert plan.split_a.num_slices == res.split_a.num_slices
 
 
 class TestSummation:
@@ -218,6 +349,23 @@ class TestPerfModel:
     def test_requires_matrix_engine(self):
         with pytest.raises(OzakiError):
             OzakiPerfModel("gtx1060")
+
+    def test_pricing_runs_no_engine_product_or_summation(self, monkeypatch):
+        # Table VIII is priced from the pair plan alone: an engine
+        # product or a summation on this path is full emulation whose
+        # result is thrown away.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pricing ran an emulated GEMM")
+
+        monkeypatch.setattr(MatrixEngineGemm, "__call__", forbidden)
+        monkeypatch.setattr(gemm_module, "compensated_sum", forbidden)
+        monkeypatch.setattr(gemm_module, "pairwise_fixed_sum", forbidden)
+        SUBSTRATE_CACHE.clear()
+        try:
+            rows = table_viii()["rows"]
+        finally:
+            SUBSTRATE_CACHE.clear()
+        assert rows == json.loads(GOLDEN_TABLE8.read_text())["rows"]
 
     def test_dgemm_tc_wins_on_fp64_starved_device(self):
         # Sec. IV-B: "DGEMM-TC outperforms cublasDgemm on a Titan RTX,
