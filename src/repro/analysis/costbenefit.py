@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis.arrays import SweepGrid, _ensure_inf_column
 from repro.errors import DeviceError
 from repro.extrapolate.model import NodeHourModel
@@ -24,7 +22,6 @@ from repro.hardware.specs import DeviceSpec
 
 __all__ = [
     "me_speedup_estimate",
-    "me_speedup_grid",
     "CostBenefitReport",
     "assess_scenario",
     "assess_machine",
@@ -46,30 +43,6 @@ def me_speedup_estimate(
         )
     vector = spec.peak(fmt, allow_matrix=False)
     return me.peak(fmt) / vector
-
-
-def me_speedup_grid(
-    device: DeviceSpec | str, fmts: Sequence[str]
-) -> list[float]:
-    """:func:`me_speedup_estimate` for a whole format axis at once.
-
-    The ME/vector peak ratios evaluate as one elementwise array quotient;
-    each entry equals the scalar estimate exactly (same two peaks, same
-    single division).  Any format the engine cannot run raises the scalar
-    path's :class:`~repro.errors.DeviceError` before anything computes.
-    """
-    spec = get_device(device) if isinstance(device, str) else device
-    me = spec.matrix_engine
-    for fmt in fmts:
-        if me is None or not me.supports(fmt):
-            raise DeviceError(
-                f"{spec.name} has no matrix engine supporting {fmt!r}"
-            )
-    me_peaks = np.array([me.peak(f) for f in fmts], dtype=np.float64)
-    vector_peaks = np.array(
-        [spec.peak(f, allow_matrix=False) for f in fmts], dtype=np.float64
-    )
-    return [float(r) for r in me_peaks / vector_peaks]
 
 
 @dataclass(frozen=True)

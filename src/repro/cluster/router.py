@@ -78,6 +78,10 @@ from repro.serve.wire import (
 
 __all__ = ["ClusterRouter"]
 
+#: One shard's verdict, ``(status, payload, retry_after, shard)``: the
+#: payload of a 200 is its decoded reply, of any other status the bytes.
+_Attempt = tuple[int, bytes | dict[str, Any], float | None, int]
+
 #: Router-side counters (the worker lifecycle counters live on the
 #: workers; these cover the routing layer itself).
 ROUTER_COUNTERS = (
@@ -454,12 +458,14 @@ class ClusterRouter(HttpServer):
         t0: float,
         skipped: list[str],
         store: bool = True,
-    ) -> tuple[int, bytes, float | None, int] | None:
+    ) -> _Attempt | None:
         """One forwarded request to one shard.
 
         Returns ``(status, payload, retry_after, shard)`` when the shard
         gave a verdict worth returning to the client, or ``None`` when
-        the caller should spill to the next ring neighbour.
+        the caller should spill to the next ring neighbour.  A 200's
+        ``payload`` is the reply decoded once and digest-verified; any
+        other status keeps the raw bytes.
         ``store=False`` marks a hedged backup: the shard answers but
         keeps the duplicate result out of its caches.
         """
@@ -498,7 +504,9 @@ class ClusterRouter(HttpServer):
             self._inc("shard_errors")
             skipped.append(f"shard {shard} unreachable ({exc})")
             return None
-        if status == 200 and not self._reply_intact(payload):
+        if status == 200:
+            payload = self._intact_reply(payload)
+        if payload is None:
             # The worker's 200 carried a value that no longer hashes to
             # the digest the worker's engine sealed — corruption on the
             # worker or on the wire.  Never forward it: charge the
@@ -579,7 +587,7 @@ class ClusterRouter(HttpServer):
         budget: DeadlineBudget | None,
         t0: float,
         skipped: list[str],
-    ) -> tuple[tuple[int, bytes, float | None, int] | None, bool]:
+    ) -> tuple[_Attempt | None, bool]:
         """Race the primary against a delayed backup; first verdict wins.
 
         Returns ``(result, hedged)`` where ``result`` follows the
@@ -603,7 +611,7 @@ class ClusterRouter(HttpServer):
             body, budget, t0, skipped, store=False,
         ))
         pending = {primary, secondary}
-        result: tuple[int, bytes, float | None, int] | None = None
+        result: _Attempt | None = None
         while pending:
             done, pending = await asyncio.wait(
                 pending, return_when=asyncio.FIRST_COMPLETED
@@ -646,8 +654,9 @@ class ClusterRouter(HttpServer):
             return None
 
     @staticmethod
-    def _reply_intact(payload: bytes) -> bool:
-        """Does a worker's 200 reply still hash to its sealed digest?
+    def _intact_reply(payload: bytes) -> dict[str, Any] | None:
+        """A worker's 200 reply, decoded once, if it still hashes to its
+        sealed digest; ``None`` if it does not.
 
         Replies without a digest (older workers) verify trivially; an
         unparseable 200 body is corrupt by definition."""
@@ -658,17 +667,15 @@ class ClusterRouter(HttpServer):
                 where="shard",
             )
         except (ValueError, AttributeError, IntegrityError):
-            return False
-        return True
+            return None
+        return parsed
 
     @staticmethod
     def _annotate(
-        payload: bytes, shard: int, *, spilled: bool, hedged: bool = False
+        parsed: dict[str, Any], shard: int, *, spilled: bool,
+        hedged: bool = False,
     ) -> bytes:
-        try:
-            parsed = json.loads(payload)
-        except ValueError:
-            return payload
+        """Encode a verified 200 reply with its routing annotations."""
         parsed["shard"] = shard
         parsed["spilled"] = spilled
         parsed["hedged"] = hedged

@@ -90,8 +90,11 @@ def required_products(
         )
     target_bits = _TARGET_BITS[accuracy]
     # Element-wise dropping threshold: u_target * |A||B| (floored to keep
-    # exact-zero magnitudes from keeping every pair alive).
-    mag_floor = float(np.max(magnitude)) * 2.0**-200 if np.max(magnitude) > 0 else 0.0
+    # exact-zero magnitudes from keeping every pair alive).  The floor
+    # comes from the finite magnitudes: an element whose bound overflowed
+    # must not raise every other element's threshold to inf.
+    finite = magnitude[np.isfinite(magnitude)]
+    mag_floor = float(finite.max()) * 2.0**-200 if finite.size else 0.0
     thresh = (2.0**-target_bits) * np.maximum(magnitude, mag_floor)
     # Every scale is a power of two, so the bound on element (r, q) of
     # pair (i, j) is factor * 2^(ea[i,r] + eb[j,q]).  With factor =

@@ -229,10 +229,11 @@ def _evaluate(
 ) -> list[Any]:
     """Answer one group's queries, in order (executor thread).
 
-    A kind with a batch axis answers the whole group with one
-    ``batch_handler(params, values)`` call; any other kind is a group of
-    one and calls ``handler(params)``.  Members share the first one's
-    non-axis params and scenario — both are part of the group key.
+    A batchable kind has one evaluator, its batch handler: the whole
+    group, solo or not, is one ``batch_handler(params, values)`` call.
+    Any other kind is a group of one and calls ``handler(params)``.
+    Members share the first one's non-axis params and scenario — both
+    are part of the group key.
 
     Pool threads never inherit the submitting thread's contextvars, so
     the overlay — and the cancellation token — is installed here,
@@ -440,8 +441,8 @@ class QueryEngine:
 
         self._cache: OrderedDict[Any, Any] = OrderedDict()
         self._stale: OrderedDict[Any, Any] = OrderedDict()
-        self._inflight: dict[Any, asyncio.Future] = {}
-        self._work: dict[Any, _WorkUnit] = {}
+        # key -> (future, work unit) of every admitted computation.
+        self._inflight: dict[Any, tuple[asyncio.Future, _WorkUnit]] = {}
         self._open_groups: dict[tuple, _Group] = {}
         self._scenarios: dict[str, ScenarioSpec] = {}
         self._queue: asyncio.Queue | None = None
@@ -869,13 +870,12 @@ class QueryEngine:
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.metrics.inc("coalesced")
-            work = self._work.get(key)
-            if work is not None:
-                work.join()
-                if store:
-                    work.store = True
+            future, work = inflight
+            work.join()
+            if store:
+                work.store = True
             env, _, degraded = await self._await_result(
-                inflight, timeout, query, budget=budget, work=work
+                future, timeout, query, budget=budget, work=work
             )
             return self._respond(
                 query, env.value, t0, coalesced=True,
@@ -899,16 +899,14 @@ class QueryEngine:
             raise
 
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
         try:
             work = self._admit(query, future, budget, store=store)
         except ServiceOverloaded:
-            self._inflight.pop(key, None)
-            self._work.pop(key, None)
             for breaker in claimed:
                 breaker.abort_trial()  # the trial call never ran
             self.metrics.inc("shed")
             raise
+        self._inflight[key] = (future, work)
         env, n_members, degraded = await self._await_result(
             future, timeout, query, budget=budget, work=work
         )
@@ -1012,7 +1010,6 @@ class QueryEngine:
             except ServiceOverloaded:
                 self._admission.cancel_acquire(kind_name)
                 raise
-        self._work[query.cache_key] = group.work
         return group.work
 
     def _enqueue(self, group: _Group) -> None:
@@ -1102,10 +1099,9 @@ class QueryEngine:
         self, query: Query, future: asyncio.Future, value: Any, n_members: int
     ) -> None:
         envelope = self._seal(query, value)
-        work = self._work.pop(query.cache_key, None)
-        if work is None or work.store:
+        inflight = self._inflight.pop(query.cache_key, None)
+        if inflight is None or inflight[1].store:
             self._store(query.cache_key, envelope)
-        self._inflight.pop(query.cache_key, None)
         if not future.done():
             future.set_result((envelope, n_members, False))
 
@@ -1118,7 +1114,6 @@ class QueryEngine:
         errors always propagate — serving stale data for a bad request
         would mask the caller's bug."""
         self._inflight.pop(query.cache_key, None)
-        self._work.pop(query.cache_key, None)
         if not isinstance(exc, QueryValidationError):
             stale = self._verified_stale(query.cache_key)
             if stale is not None:
@@ -1150,7 +1145,6 @@ class QueryEngine:
         )
         for query, future, _ in members:
             self._inflight.pop(query.cache_key, None)
-            self._work.pop(query.cache_key, None)
             if not future.done():
                 future.set_exception(exc)
                 future.exception()  # usually zero waiters; silence asyncio

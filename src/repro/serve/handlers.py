@@ -9,6 +9,10 @@ split/summation runs behind Table VIII — flows through the process-wide
 substrate cache, so a cold first query warms the same entries a
 ``repro-paper`` run would and every later query reuses them.
 
+The batchable kinds (``costbenefit``, ``node_hours``, ``me_speedup``)
+register only their batch handler: a solo query is a batch of one, so
+every answer of such a kind comes from one code path.
+
 Purity is also what makes the resilience layer sound: the engine's
 retry wrapper may invoke a handler two or three times for one query,
 and its stale-while-revalidate store may replay an old answer — both
@@ -23,12 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.analysis.costbenefit import (
-    assess_grid,
-    assess_scenario,
-    me_speedup_estimate,
-    me_speedup_grid,
-)
+from repro.analysis.costbenefit import assess_grid, me_speedup_estimate
 from repro.errors import DeviceError, QueryValidationError
 from repro.extrapolate.model import NodeHourModel
 from repro.errors import ScenarioError
@@ -93,7 +92,7 @@ def _check_device(name: str) -> None:
         ) from None
 
 
-# -- costbenefit ------------------------------------------------------------
+# -- costbenefit (batchable) ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -115,22 +114,15 @@ def _costbenefit_answer(report: Any) -> Any:
     return answer
 
 
-def handle_costbenefit(params: CostBenefitParams) -> Any:
-    cancel_point()
-    report = assess_scenario(
-        _scenario(params.scenario), me_speedup=params.me_speedup
-    )
-    return _costbenefit_answer(report)
-
-
 def handle_costbenefit_batch(
     params: CostBenefitParams, me_speedups: tuple[float, ...]
 ) -> dict[float, Any]:
     """Assess a whole ME-speedup sweep as one vectorized grid evaluation.
 
     The reports come from :func:`repro.analysis.assess_grid`, whose
-    kernels are bit-identical to the scalar path — batching changes
-    *when* work happens, never the bytes that come back.
+    kernels are bit-identical to :func:`repro.analysis.assess_scenario`
+    — batching changes *when* work happens, never the bytes that come
+    back.
     """
     cancel_point()
     reports = assess_grid(
@@ -157,33 +149,17 @@ class NodeHoursParams:
         _check_speedup(self.speedup, "speedup")
 
 
-def _node_hours_answer(scenario: NodeHourModel, speedup: float) -> Any:
-    return to_jsonable(
-        {
-            "machine": scenario.name,
-            "speedup": speedup,
-            "reduction": scenario.reduction(speedup),
-            "consumed_fraction": scenario.consumed_fraction(speedup),
-            "throughput_improvement": scenario.throughput_improvement(speedup),
-            "node_hours_saved": scenario.node_hours_saved(speedup),
-        }
-    )
-
-
-def handle_node_hours(params: NodeHoursParams) -> Any:
-    cancel_point()
-    return _node_hours_answer(_scenario(params.scenario), params.speedup)
-
-
 def handle_node_hours_batch(
     params: NodeHoursParams, speedups: tuple[float, ...]
 ) -> dict[float, Any]:
     """Answer a whole speedup sweep as one vectorized grid evaluation.
 
     One scenario construction, one :class:`~repro.analysis.SweepGrid`
-    kernel pass over every requested speedup.  The kernels are
-    bit-identical to the scalar path — batching changes *when* work
-    happens, never the bytes that come back.
+    kernel pass over every requested speedup — a solo query, a batch of
+    one, is one pass too.  The kernels are bit-identical to
+    :class:`~repro.extrapolate.NodeHourModel`'s scalar methods —
+    batching changes *when* work happens, never the bytes that come
+    back.
     """
     cancel_point()
     scenario = _scenario(params.scenario)
@@ -205,7 +181,7 @@ def handle_node_hours_batch(
     }
 
 
-# -- me_speedup -------------------------------------------------------------
+# -- me_speedup (batchable) -------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -219,33 +195,18 @@ class MeSpeedupParams:
         _check_device(self.device)
 
 
-def handle_me_speedup(params: MeSpeedupParams) -> Any:
-    cancel_point()
-    try:
-        speedup = me_speedup_estimate(params.device, params.fmt)
-    except DeviceError as exc:  # device lacks an ME or the format
-        raise QueryValidationError(str(exc)) from None
-    return to_jsonable(
-        {
-            "device": params.device,
-            "fmt": params.fmt,
-            "me_speedup": speedup,
-        }
-    )
-
-
 def handle_me_speedup_batch(
     params: MeSpeedupParams, fmts: tuple[str, ...]
 ) -> dict[str, Any]:
     """Estimate one device's ME speedup across a whole format axis.
 
-    Coalesced queries differing only in ``fmt`` evaluate as a single
-    :func:`~repro.analysis.costbenefit.me_speedup_grid` pass; each
-    answer equals the scalar handler's exactly.
+    Coalesced queries differing only in ``fmt`` evaluate as one call;
+    each answer is :func:`~repro.analysis.costbenefit.me_speedup_estimate`
+    of its format.
     """
     cancel_point()
     try:
-        speedups = me_speedup_grid(params.device, fmts)
+        speedups = [me_speedup_estimate(params.device, fmt) for fmt in fmts]
     except DeviceError as exc:  # device lacks an ME or a format
         raise QueryValidationError(str(exc)) from None
     return {
@@ -416,7 +377,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="costbenefit",
                 params_type=CostBenefitParams,
-                handler=handle_costbenefit,
                 description=(
                     "Machine-level ME cost-benefit verdict "
                     "(node-hour reduction, throughput, worthwhileness)"
@@ -428,7 +388,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="node_hours",
                 params_type=NodeHoursParams,
-                handler=handle_node_hours,
                 description=(
                     "One Fig. 4 sweep point: node-hour reduction of a "
                     "scenario at one ME speedup"
@@ -440,7 +399,6 @@ def default_registry() -> QueryRegistry:
             QueryKind(
                 name="me_speedup",
                 params_type=MeSpeedupParams,
-                handler=handle_me_speedup,
                 description="Realistic ME-vs-vector GEMM speedup of a device",
                 batch_axis="fmt",
                 batch_handler=handle_me_speedup_batch,

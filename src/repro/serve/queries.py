@@ -4,14 +4,15 @@ A *query* is a kind name plus a validated params dataclass.  Two
 queries that mean the same thing — whatever the field order or default
 elision on the wire — canonicalise to the same SHA-256
 (:func:`canonical_hash`), which is what the serving engine coalesces
-and caches on.  The registry maps each kind to a **pure** handler
+and caches on.  The registry maps each kind to one **pure** evaluator
 (params in, JSON-encodable answer out; all shared state flows through
 the substrate cache), so an answer is a function of the canonical hash
 plus the governing substrate seeds — the engine's cache key.
 
-Batchable kinds additionally declare a *batch axis*: queries identical
-everywhere except that one scalar field collapse into a single
-vectorised evaluation (see :mod:`repro.serve.engine`).
+A batchable kind's one evaluator is its batch handler, over a *batch
+axis*: queries identical everywhere except that one scalar field
+collapse into a single vectorised evaluation (see
+:mod:`repro.serve.engine`), and a solo query is a batch of one.
 
 A query may carry a :class:`~repro.scenario.spec.ScenarioSpec` overlay:
 the engine evaluates it under :func:`repro.scenario.scenario_context`,
@@ -84,30 +85,46 @@ def _hash_canonical(kind: str, canonical: dict[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class QueryKind:
-    """One registered query type.
+    """One registered query type, with exactly one evaluator.
 
-    ``handler`` answers a single params instance; for batchable kinds
-    ``batch_axis`` names the scalar field queries may differ in, and
-    ``batch_handler`` answers a whole group at once — it receives one
-    representative params instance plus the sorted distinct axis values
-    and returns ``{axis_value: answer}``.  ``substrates`` names the
-    pipeline substrates the answer depends on; their seeds join the
+    An unbatchable kind registers ``handler``, which answers a single
+    params instance.  A batchable kind registers ``batch_handler``
+    instead, plus the ``batch_axis`` naming the scalar field its queries
+    may differ in: it receives one representative params instance and
+    the distinct axis values and returns ``{axis_value: answer}``.  Its
+    ``handler`` is derived, a batch of one, so ``handler(params)``
+    answers one params instance for every kind.  ``substrates`` names
+    the pipeline substrates the answer depends on; their seeds join the
     result-cache key.
     """
 
     name: str
     params_type: type
-    handler: Callable[[Any], Any]
     description: str
+    handler: Callable[[Any], Any] | None = None
     substrates: tuple[str, ...] = ()
     batch_axis: str | None = None
     batch_handler: Callable[[Any, tuple[Any, ...]], dict[Any, Any]] | None = None
 
     def __post_init__(self) -> None:
+        if (self.handler is None) == (self.batch_handler is None):
+            raise ValueError(
+                f"{self.name}: register exactly one of handler and "
+                f"batch_handler"
+            )
         if (self.batch_axis is None) != (self.batch_handler is None):
             raise ValueError(
-                f"{self.name}: batch_axis and batch_handler come together"
+                f"{self.name}: batch_axis is given if and only if "
+                f"batch_handler is"
             )
+        if self.handler is None:
+            batch, axis = self.batch_handler, self.batch_axis
+
+            def batch_of_one(params: Any) -> Any:
+                value = getattr(params, axis)
+                return batch(params, (value,))[value]
+
+            object.__setattr__(self, "handler", batch_of_one)
 
     def build_params(self, raw: dict[str, Any] | None) -> Any:
         """Construct + validate the params dataclass from wire input.

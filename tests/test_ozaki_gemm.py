@@ -186,7 +186,8 @@ def required_products_loop(s_a, s_b, beta, accuracy, *, scales_a,
         pairs = [(i, j) for i in range(s_a) for j in range(s_b)]
     else:
         target_bits = {"sgemm": 24, "dgemm": 53}[accuracy]
-        mag_floor = float(np.max(magnitude)) * 2.0**-200 if np.max(magnitude) > 0 else 0.0
+        finite = magnitude[np.isfinite(magnitude)]
+        mag_floor = float(finite.max()) * 2.0**-200 if finite.size else 0.0
         thresh = (2.0**-target_bits) * np.maximum(magnitude, mag_floor)
         factor = float(k) * 4.0**beta
         pairs = [
@@ -273,6 +274,32 @@ class TestPairSelection:
         )
         assert required_products(2, 2, 3, "dgemm", **kwargs) == kept
         assert required_products_loop(2, 2, 3, "dgemm", **kwargs) == kept
+
+    def test_an_overflowed_element_does_not_raise_the_others_thresholds(self):
+        # One inf element of |A||B| keeps no pair alive for itself but
+        # must leave the finite elements' selection as if it were absent.
+        scales = (np.full(2, 1.0), np.full(2, 2.0**-30))
+        magnitude = np.array([[np.inf, 1.0], [1.0, 1.0]])
+        kwargs = dict(
+            scales_a=scales, scales_b=scales, magnitude=magnitude, k=2,
+        )
+        kept = required_products(2, 2, 3, "dgemm", **kwargs)
+        with np.errstate(over="ignore"):
+            assert kept == required_products_loop(2, 2, 3, "dgemm", **kwargs)
+        assert kept == required_products(
+            2, 2, 3, "dgemm", **{**kwargs, "magnitude": np.ones((2, 2))}
+        )
+        assert kept
+
+    @pytest.mark.parametrize("accuracy", ["sgemm", "dgemm"])
+    def test_finite_entries_survive_an_overflowing_entry(self, accuracy):
+        a = np.array([[1e160, 1.0], [1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = a @ a
+            c = ozaki_gemm(a, a, accuracy=accuracy).c
+        finite = np.isfinite(expected)
+        assert finite.sum() == 3
+        np.testing.assert_array_equal(c[finite], expected[finite])
 
     @pytest.mark.parametrize("k", [1, 3, 96])
     def test_a_bound_equal_to_the_threshold_drops_the_pair(self, k):

@@ -9,20 +9,29 @@ to direct library calls even under ≥8-thread hammering.
 """
 
 import asyncio
+import json
 import math
 import threading
 import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.arrays import kernel_invocations
+from repro.analysis.costbenefit import assess_scenario, me_speedup_estimate
 from repro.errors import (
+    DeviceError,
     QueryTimeout,
     QueryValidationError,
     ServeError,
     ServiceOverloaded,
 )
+from repro.extrapolate import build_machine, machine_names
 from repro.harness.export import to_jsonable
+from repro.hardware.registry import list_device_names
+from repro.scenario import scenario_context, scenario_from_dict
 from repro.serve import (
     DEFAULT_REGISTRY,
     Metrics,
@@ -126,11 +135,40 @@ class TestRegistryValidation:
         class P:
             x: float = 0.0
 
-        with pytest.raises(ValueError, match="come together"):
-            QueryKind(
-                name="bad", params_type=P, handler=lambda p: None,
-                description="", batch_axis="x",
-            )
+        def one(p):
+            return None
+
+        def batch(p, values):
+            return {v: None for v in values}
+
+        for kwargs, match in (
+            (dict(handler=one, batch_handler=batch, batch_axis="x"),
+             "exactly one"),
+            (dict(), "exactly one"),
+            (dict(handler=one, batch_axis="x"), "if and only if"),
+            (dict(batch_handler=batch), "if and only if"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                QueryKind(name="bad", params_type=P, description="", **kwargs)
+
+    def test_batchable_kind_handler_is_a_batch_of_one(self):
+        @dataclass(frozen=True)
+        class P:
+            tag: str = "t"
+            x: float = 0.0
+
+        calls = []
+
+        def batch(p, values):
+            calls.append(values)
+            return {v: {"tag": p.tag, "x": v} for v in values}
+
+        kind = QueryKind(
+            name="sweep", params_type=P, description="",
+            batch_axis="x", batch_handler=batch,
+        )
+        assert kind.handler(P(tag="a", x=2.0)) == {"tag": "a", "x": 2.0}
+        assert calls == [(2.0,)]
 
 
 # -- metrics ----------------------------------------------------------------
@@ -206,10 +244,6 @@ def make_test_registry(record):
         time.sleep(p.delay)
         return {"key": p.key}
 
-    def sweep_handler(p):
-        record.setdefault("batch", []).append((p.base, (p.x,)))
-        return {"base": p.base, "x": p.x}
-
     def sweep_batch(p, values):
         record.setdefault("batch", []).append((p.base, tuple(values)))
         return {v: {"base": p.base, "x": v} for v in values}
@@ -221,7 +255,7 @@ def make_test_registry(record):
                 description="sleeps then echoes",
             ),
             QueryKind(
-                name="sweep", params_type=SweepParams, handler=sweep_handler,
+                name="sweep", params_type=SweepParams,
                 description="batchable echo", batch_axis="x",
                 batch_handler=sweep_batch,
             ),
@@ -754,6 +788,110 @@ class TestAnswerParity:
             client.query(
                 "ozaki", {"implementation": "DGEMM-TC", "input_range": 1e9}
             )
+
+
+def _canonical(value):
+    return json.dumps(to_jsonable(value), sort_keys=True)
+
+
+_SPEEDUPS = st.one_of(st.floats(1.0, 1e6), st.just(math.inf))
+_OVERLAYS = st.sampled_from([None, scenario_from_dict({
+    "name": "ai20",
+    "machines": [{
+        "name": "k_computer",
+        "renormalize": True,
+        "domains": [
+            {"domain": "AI/DL", "share": 0.25, "accelerable": 0.832}
+        ],
+    }],
+})])
+_FMTS = ("fp64", "fp32", "tf32", "fp16", "bf16", "int8")
+
+
+class TestOneEvaluationPath:
+    """A batchable kind's ``handler`` is its batch handler on a batch of
+    one; it must answer exactly what the library reference does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        machine=st.sampled_from(sorted(machine_names())),
+        speedup=_SPEEDUPS,
+        overlay=_OVERLAYS,
+    )
+    def test_node_hours_matches_the_model(self, machine, speedup, overlay):
+        kind = DEFAULT_REGISTRY.get("node_hours")
+        with scenario_context(overlay):
+            got = kind.handler(
+                kind.build_params({"scenario": machine, "speedup": speedup})
+            )
+            model = build_machine(machine)
+            expected = {
+                "machine": model.name,
+                "speedup": speedup,
+                "reduction": model.reduction(speedup),
+                "consumed_fraction": model.consumed_fraction(speedup),
+                "throughput_improvement": model.throughput_improvement(
+                    speedup
+                ),
+                "node_hours_saved": model.node_hours_saved(speedup),
+            }
+        assert _canonical(got) == _canonical(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        machine=st.sampled_from(sorted(machine_names())),
+        speedup=_SPEEDUPS,
+        overlay=_OVERLAYS,
+    )
+    def test_costbenefit_matches_assess_scenario(
+        self, machine, speedup, overlay
+    ):
+        kind = DEFAULT_REGISTRY.get("costbenefit")
+        with scenario_context(overlay):
+            got = kind.handler(kind.build_params(
+                {"scenario": machine, "me_speedup": speedup}
+            ))
+            report = assess_scenario(
+                build_machine(machine), me_speedup=speedup
+            )
+        expected = to_jsonable(report)
+        expected["worthwhile"] = report.worthwhile
+        expected["verdict"] = report.verdict()
+        assert _canonical(got) == _canonical(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        device=st.sampled_from(list_device_names()),
+        fmt=st.sampled_from(_FMTS),
+    )
+    def test_me_speedup_matches_the_estimate(self, device, fmt):
+        kind = DEFAULT_REGISTRY.get("me_speedup")
+        params = kind.build_params({"device": device, "fmt": fmt})
+        try:
+            expected = me_speedup_estimate(device, fmt)
+        except DeviceError as exc:
+            with pytest.raises(QueryValidationError) as raised:
+                kind.handler(params)
+            assert str(raised.value) == str(exc)
+            return
+        got = kind.handler(params)
+        assert _canonical(got) == _canonical(
+            {"device": device, "fmt": fmt, "me_speedup": expected}
+        )
+
+    def test_device_without_an_engine_for_the_format_is_invalid(self):
+        kind = DEFAULT_REGISTRY.get("me_speedup")
+        for device, fmt in (("v100", "fp64"), ("a64fx", "fp16")):
+            with pytest.raises(QueryValidationError):
+                kind.handler(kind.build_params({"device": device, "fmt": fmt}))
+
+    def test_solo_node_hours_is_one_kernel_pass(self):
+        kind = DEFAULT_REGISTRY.get("node_hours")
+        params = kind.build_params({"scenario": "anl", "speedup": 4.0})
+        kind.handler(params)  # warm the workload-profile substrate
+        before = kernel_invocations()
+        kind.handler(params)
+        assert kernel_invocations() == before + 1
 
 
 class TestConcurrentServing:
