@@ -101,6 +101,17 @@ ROUTER_COUNTERS = (
     "integrity_rejected",  # 200 replies dropped: digest mismatch (spilled)
 )
 
+#: Longest wait on one forwarded query (a propagated deadline budget
+#: shortens it) and on one fan-out probe (``/readyz``, ``/metrics``).
+REQUEST_TIMEOUT_S = 75.0
+PROBE_TIMEOUT_S = 5.0
+#: The hedge delay is a kind's p95 latency clamped to
+#: ``[HEDGE_DELAY_FLOOR_S, HEDGE_DELAY_CAP_S]``, once the kind has
+#: ``HEDGE_MIN_OBSERVATIONS`` latencies behind it (no hedging before).
+HEDGE_DELAY_FLOOR_S = 0.01
+HEDGE_DELAY_CAP_S = 1.0
+HEDGE_MIN_OBSERVATIONS = 20
+
 
 class _WorkerPool:
     """Keep-alive connections to one worker URL (event-loop confined)."""
@@ -180,13 +191,8 @@ class ClusterRouter(HttpServer):
         spill: int = 1,
         breaker_threshold: int = 3,
         breaker_recovery_s: float = 1.0,
-        request_timeout_s: float = 75.0,
-        probe_timeout_s: float = 5.0,
         hedge: bool = True,
         hedge_ratio: float = 0.05,
-        hedge_delay_floor_s: float = 0.01,
-        hedge_delay_cap_s: float = 1.0,
-        hedge_min_observations: int = 20,
         verbose: bool = False,
     ) -> None:
         super().__init__(verbose=verbose)
@@ -199,13 +205,8 @@ class ClusterRouter(HttpServer):
         self.table = table
         self.ring = ring
         self.spill = spill
-        self.request_timeout_s = request_timeout_s
-        self.probe_timeout_s = probe_timeout_s
         self.hedge = hedge
         self.hedge_ratio = hedge_ratio
-        self.hedge_delay_floor_s = hedge_delay_floor_s
-        self.hedge_delay_cap_s = hedge_delay_cap_s
-        self.hedge_min_observations = hedge_min_observations
         self._registry = DEFAULT_REGISTRY if registry is None else registry
         self._scenarios = dict(scenarios or {})
         self.counters: dict[str, Counter] = {
@@ -469,7 +470,7 @@ class ClusterRouter(HttpServer):
         ``store=False`` marks a hedged backup: the shard answers but
         keeps the duplicate result out of its caches.
         """
-        timeout_s = self.request_timeout_s
+        timeout_s = REQUEST_TIMEOUT_S
         fwd_headers: dict[str, str] = {}
         if budget is not None:
             # Re-encode the *remaining* budget for the next hop — the
@@ -554,13 +555,9 @@ class ClusterRouter(HttpServer):
         if hist is None:
             return None
         stats = hist.summary()
-        if stats["count"] < self.hedge_min_observations:
+        if stats["count"] < HEDGE_MIN_OBSERVATIONS:
             return None
-        p95 = stats["p95"]
-        return min(
-            self.hedge_delay_cap_s,
-            max(self.hedge_delay_floor_s, p95),
-        )
+        return min(HEDGE_DELAY_CAP_S, max(HEDGE_DELAY_FLOOR_S, stats["p95"]))
 
     def _pick_hedge(
         self, rest: list[tuple[int, int, str, Any]]
@@ -658,8 +655,8 @@ class ClusterRouter(HttpServer):
         """A worker's 200 reply, decoded once, if it still hashes to its
         sealed digest; ``None`` if it does not.
 
-        Replies without a digest (older workers) verify trivially; an
-        unparseable 200 body is corrupt by definition."""
+        A reply without a digest fails the check like any mismatch;
+        an unparseable 200 body is corrupt by definition."""
         try:
             parsed = json.loads(payload)
             verify_response_digest(
@@ -718,7 +715,7 @@ class ClusterRouter(HttpServer):
             try:
                 status, _, payload = await asyncio.wait_for(
                     self._pool_for(url).request("GET", path, b""),
-                    timeout=self.probe_timeout_s,
+                    timeout=PROBE_TIMEOUT_S,
                 )
                 return {"status": status, "payload": json.loads(payload)}
             except (OSError, asyncio.TimeoutError, ValueError):

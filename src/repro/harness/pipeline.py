@@ -42,7 +42,6 @@ process, exercising the broken-pool → thread-fallback recovery.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import time
@@ -52,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.harness.cache import SUBSTRATE_CACHE
+from repro.integrity.digest import bytes_digest
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -252,7 +252,7 @@ def text_sha256(result: dict) -> str | None:
     text = result.get("text")
     if not isinstance(text, str):
         return None
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return bytes_digest(text.encode("utf-8"))
 
 
 def _cpu_capacity() -> int:

@@ -141,16 +141,20 @@ def _print_results(results: dict[str, dict]) -> None:
 
 
 def _load_manifest(outdir) -> dict | None:
-    """Parse ``manifest.json`` if one exists and is readable.
+    """Parse ``manifest.json`` if one exists, is readable, and is the
+    schema this build writes.
 
     An unreadable/invalid manifest is quarantined (``manifest.json.corrupt``)
     and treated as absent — with schema v4 the durable store makes a torn
     manifest impossible for our own runs, so invalid JSON means external
-    damage, and the journal is the remaining source of truth.
+    damage, and the journal is the remaining source of truth.  A manifest
+    of another ``schema_version`` is reported and treated as absent too,
+    but left in place: its bytes are not damaged.
     """
     import json
     from pathlib import Path
 
+    from repro.harness.pipeline import MANIFEST_SCHEMA_VERSION
     from repro.harness.store import quarantine
 
     path = Path(outdir) / "manifest.json"
@@ -166,7 +170,17 @@ def _load_manifest(outdir) -> dict | None:
             file=sys.stderr,
         )
         return None
-    return manifest if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict):
+        return None
+    if manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
+        print(
+            f"[store] manifest.json is schema "
+            f"{manifest.get('schema_version')!r}, this build reads "
+            f"{MANIFEST_SCHEMA_VERSION}; treating it as absent",
+            file=sys.stderr,
+        )
+        return None
+    return manifest
 
 
 #: What each ``--verify`` per-file status means, both for the human
@@ -300,7 +314,8 @@ def _resume(outdir: str, jobs: int) -> int:
     from repro.errors import ScenarioError, StoreError
     from repro.harness.export import export_all
     from repro.harness.pipeline import ARTIFACT_SUBSTRATES, run_pipeline
-    from repro.harness.store import audit_run, read_journal, sha256_file
+    from repro.harness.store import audit_run, read_journal
+    from repro.integrity.digest import bytes_digest
     from repro.scenario import scenario_from_dict
 
     out = Path(outdir)
@@ -344,11 +359,6 @@ def _resume(outdir: str, jobs: int) -> int:
     scenario_spec = ((manifest or {}).get("scenario") or {}).get("spec")
     if scenario_spec is None:
         scenario_spec = audit.scenario
-    if scenario_spec is None and manifest is not None:
-        raise SystemExit(
-            "--resume: manifest predates schema v3 (no scenario spec "
-            "recorded); re-run repro-paper from scratch instead"
-        )
     scenario = None
     if scenario_spec is not None:
         try:
@@ -373,9 +383,10 @@ def _resume(outdir: str, jobs: int) -> int:
         **run.manifest["substrates"],
     }
     merged["artifacts"] = {**artifacts, **run.manifest["artifacts"]}
-    # Journal-trusted artefacts a (missing or pre-v4) manifest does not
-    # record get synthesised entries: their bytes on disk are verified,
-    # only the timing provenance is gone.
+    # Journal-trusted artefacts a missing manifest does not record (the
+    # crash struck before manifest.json was written) get synthesised
+    # entries: their bytes on disk are verified, only the timing
+    # provenance is gone.
     file_hashes: dict[str, dict[str, str]] = {}
     for report in audit.files:
         if report.artifact and report.status == "ok":
@@ -388,11 +399,7 @@ def _resume(outdir: str, jobs: int) -> int:
         if txt.is_file():
             # The .txt file is the rendered text plus one trailing "\n";
             # text_sha256 hashes the text alone.
-            import hashlib
-
-            text_hash = hashlib.sha256(
-                txt.read_bytes()[:-1]
-            ).hexdigest()
+            text_hash = bytes_digest(txt.read_bytes()[:-1])
         merged["artifacts"][name] = {
             "wall_time_s": None,
             "seed": None,
@@ -402,14 +409,6 @@ def _resume(outdir: str, jobs: int) -> int:
             "retries": 0,
             "files": dict(sorted(file_hashes.get(name, {}).items())),
         }
-    # Upgrade any surviving schema<=3 entries (file lists, no hashes) to
-    # v4 checksum maps from the audited bytes on disk.
-    for name, entry in merged["artifacts"].items():
-        files = entry.get("files")
-        if isinstance(files, list):
-            entry["files"] = {
-                fname: sha256_file(out / fname) for fname in sorted(files)
-            }
     still_failing = sorted(
         name
         for name, entry in merged["artifacts"].items()

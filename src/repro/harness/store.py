@@ -58,7 +58,6 @@ from repro.resilience.faultplan import fault_point
 
 __all__ = [
     "JOURNAL_NAME",
-    "sha256_bytes",
     "sha256_file",
     "durable_write",
     "durable_write_text",
@@ -79,16 +78,10 @@ JOURNAL_NAME = "journal.jsonl"
 _BOOKKEEPING = ("manifest.json", JOURNAL_NAME)
 
 
-def sha256_bytes(data: bytes) -> str:
-    """Hex SHA-256 of a byte string (the serve envelopes' primitive —
-    one digest discipline across cache, snapshot, and store audits)."""
-    return bytes_digest(data)
-
-
 def sha256_file(path: Path) -> str | None:
     """Hex SHA-256 of a file's bytes, or ``None`` if it cannot be read."""
     try:
-        return sha256_bytes(Path(path).read_bytes())
+        return bytes_digest(Path(path).read_bytes())
     except OSError:
         return None
 
@@ -130,7 +123,7 @@ def durable_write(path: str | Path, data: bytes) -> str:
     which exist precisely to break this promise on purpose).
     """
     path = Path(path)
-    checksum = sha256_bytes(data)
+    checksum = bytes_digest(data)
     fault = fault_point(f"store:{path.name}")
     if fault == "torn-write":
         # Crash mid-write: half the payload lands at the *final* path
@@ -347,14 +340,8 @@ def _expected_files(
             )
     if manifest:
         for name, entry in (manifest.get("artifacts") or {}).items():
-            files = entry.get("files")
-            if isinstance(files, Mapping):  # schema >= 4
-                for fname, digest in files.items():
-                    expected[fname] = (name, digest)
-            elif isinstance(files, list):  # schema <= 3: names, no hashes
-                for fname in files:
-                    if fname not in expected:
-                        expected[fname] = (name, None)
+            for fname, digest in (entry.get("files") or {}).items():
+                expected[fname] = (name, digest)
     return expected
 
 

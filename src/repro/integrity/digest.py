@@ -1,12 +1,14 @@
 """Canonical payload digests plus the fault-kind corruption helpers.
 
-:func:`payload_digest` is *the* digest of a served value, shared by the
-result-cache envelopes, the warm-boot snapshot entries, the
-``X-Repro-Result-Digest`` wire header, and the cluster router's reply
-verification: SHA-256 over the canonical JSON encoding (sorted keys,
-no whitespace) — the same encoding discipline as
-:func:`repro.serve.queries.canonical_hash` and the durable store's
-manifests, so any layer can recompute and compare it.
+:func:`payload_digest` is the one canonical digest: SHA-256 over the
+canonical JSON encoding (sorted keys, no whitespace).  It seals served
+values (the result-cache envelopes, the warm-boot snapshot entries, the
+``X-Repro-Result-Digest`` wire header, the cluster router's reply
+verification) and computes the query hashes
+(:func:`repro.serve.queries.canonical_hash`) and the scenario and
+fault-plan fingerprints, so any layer can recompute and compare it.
+Raw bytes (the durable store's file checksums, the manifests'
+``text_sha256``) hash through :func:`bytes_digest`.
 
 :func:`corrupt_payload` and :func:`perturb_answer` implement the
 ``flip`` and ``wrong-answer`` fault kinds — they exist so chaos tests

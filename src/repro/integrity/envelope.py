@@ -16,7 +16,7 @@ evict, recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.integrity.digest import payload_digest
@@ -35,8 +35,8 @@ class ResultEnvelope:
 
     value: Any
     digest: str
-    kind: str = ""
-    params: dict[str, Any] = field(default_factory=dict)
+    kind: str
+    params: dict[str, Any]
     scenario: dict[str, Any] | None = None
 
     def verify(self) -> bool:
@@ -46,33 +46,31 @@ class ResultEnvelope:
         except (TypeError, ValueError):
             return False  # not even encodable any more — corrupt
 
-    def can_recompute(self) -> bool:
-        """Whether the envelope carries enough provenance to resubmit."""
-        return bool(self.kind)
-
     def to_snapshot_dict(self, key_obj: dict[str, Any]) -> dict[str, Any]:
         """One warm-boot snapshot entry (see :mod:`repro.serve.snapshot`)."""
         entry: dict[str, Any] = {
             "key": key_obj,
             "value": self.value,
             "sha256": self.digest,
+            "kind": self.kind,
+            "params": self.params,
         }
-        if self.kind:
-            entry["kind"] = self.kind
-            entry["params"] = self.params
-            if self.scenario is not None:
-                entry["scenario"] = self.scenario
+        if self.scenario is not None:
+            entry["scenario"] = self.scenario
         return entry
 
     @classmethod
     def from_snapshot_dict(cls, entry: dict[str, Any]) -> "ResultEnvelope":
         """Rebuild from a snapshot entry *without* verifying — the
-        loader decides what to do with a failing :meth:`verify`."""
+        loader decides what to do with a failing :meth:`verify`.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` for an
+        entry missing its value, digest or provenance."""
         return cls(
-            value=entry.get("value"),
-            digest=str(entry.get("sha256", "")),
-            kind=str(entry.get("kind", "")),
-            params=dict(entry.get("params") or {}),
+            value=entry["value"],
+            digest=str(entry["sha256"]),
+            kind=str(entry["kind"]),
+            params=dict(entry["params"]),
             scenario=entry.get("scenario"),
         )
 
@@ -80,8 +78,8 @@ class ResultEnvelope:
 def seal(
     value: Any,
     *,
-    kind: str = "",
-    params: dict[str, Any] | None = None,
+    kind: str,
+    params: dict[str, Any],
     scenario: dict[str, Any] | None = None,
 ) -> ResultEnvelope:
     """Seal a freshly computed value into an envelope.
@@ -95,6 +93,6 @@ def seal(
         value=value,
         digest=payload_digest(value),
         kind=kind,
-        params=dict(params or {}),
+        params=dict(params),
         scenario=scenario,
     )

@@ -267,12 +267,16 @@ def ozaki_gemm(
         a, b, engine=engine, accuracy=accuracy, max_slices=max_slices, beta=beta
     )
     sa, sb = plan.split_a, plan.split_b
+    # Every row/col scale is a power of two: keep its exponent.
+    exp_a = [np.frexp(g)[1] - 1 for g in sa.scales]
+    exp_b = [np.frexp(g)[1] - 1 for g in sb.scales]
     terms: list[np.ndarray] = []
     for i, j in plan.pairs:
         # Exact engine product of integer-valued scaled slices …
         p = engine(sa.scaled[i], sb.scaled[j], pre_rounded=True)
-        # … rescaled by the (power-of-two, hence exact) row/col factors.
-        terms.append(p * sa.scales[i][:, None] * sb.scales[j][None, :])
+        # … rescaled by both factors in one exact step, so a term only
+        # overflows where the product itself does.
+        terms.append(np.ldexp(p, exp_a[i][:, None] + exp_b[j][None, :]))
     if not terms:
         c = np.zeros((sa.scaled[0].shape[0], sb.scaled[0].shape[1]))
     elif compensated:

@@ -23,12 +23,17 @@ __all__ = ["pairwise_fixed_sum", "compensated_sum"]
 
 
 def pairwise_fixed_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum matrices in the given (fixed) order with plain fp64 adds."""
+    """Sum matrices in the given (fixed) order with plain fp64 adds.
+
+    An element whose partial sum has overflowed keeps it: the later,
+    smaller terms cannot bring it back, and adding an opposite-signed
+    infinity would turn it into nan.
+    """
     if not terms:
         raise ValueError("nothing to sum")
     out = terms[0].astype(np.float64, copy=True)
     for t in terms[1:]:
-        out += t
+        np.add(out, t, out=out, where=np.isfinite(out))
     return out
 
 
@@ -39,17 +44,21 @@ def compensated_sum(terms: Sequence[np.ndarray]) -> np.ndarray:
     The result equals the fp64 rounding of the exact sum for all
     practically occurring magnitude spreads, and is independent of any
     internal blocking — the "bit-wise reproducibility" feature called out
-    in Sec. IV-B.
+    in Sec. IV-B.  An overflowed (infinite) partial sum is kept as it is,
+    as in :func:`pairwise_fixed_sum`, and not compensated: it has no
+    low-order part, and the update would compute ``inf - inf``.
     """
     if not terms:
         raise ValueError("nothing to sum")
     s = terms[0].astype(np.float64, copy=True)
     c = np.zeros_like(s)
-    for t in terms[1:]:
-        t = np.asarray(t, dtype=np.float64)
-        new = s + t
-        big = np.abs(s) >= np.abs(t)
-        # Neumaier update: the rounded-away low-order part of each add.
-        c += np.where(big, (s - new) + t, (t - new) + s)
-        s = new
+    with np.errstate(invalid="ignore"):  # inf - inf, masked out below
+        for t in terms[1:]:
+            t = np.asarray(t, dtype=np.float64)
+            new = np.where(np.isinf(s), s, s + t)
+            big = np.abs(s) >= np.abs(t)
+            # Neumaier update: the rounded-away low-order part of each add.
+            low = np.where(big, (s - new) + t, (t - new) + s)
+            c += np.where(np.isinf(new), 0.0, low)
+            s = new
     return s + c

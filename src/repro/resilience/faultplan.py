@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.errors import FaultInjected, FaultPlanError
+from repro.integrity.digest import payload_digest
 
 __all__ = [
     "FaultRule",
@@ -225,12 +226,7 @@ def fault_plan_to_dict(plan: FaultPlan, *, include_label: bool = True) -> dict:
 
 def fault_plan_fingerprint(plan: FaultPlan) -> str:
     """SHA-256 of the canonical semantic encoding (labels excluded)."""
-    encoded = json.dumps(
-        fault_plan_to_dict(plan, include_label=False),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return payload_digest(fault_plan_to_dict(plan, include_label=False))
 
 
 def fault_plan_from_dict(data: Mapping[str, Any]) -> FaultPlan:

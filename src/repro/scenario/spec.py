@@ -21,14 +21,13 @@ same what-if always share work and two different what-ifs never do.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
 from repro.errors import ScenarioError
+from repro.integrity.digest import payload_digest
 
 __all__ = [
     "UnitOverlay",
@@ -404,7 +403,4 @@ def canonical_scenario(spec: ScenarioSpec, *, include_label: bool = False) -> di
 
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
     """SHA-256 of the canonical semantic encoding."""
-    encoded = json.dumps(
-        canonical_scenario(spec), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return payload_digest(canonical_scenario(spec))

@@ -44,9 +44,8 @@ def verify_response_digest(value: Any, digest: str, *, where: str) -> None:
     """End-to-end check: does a served ``value`` still hash to the
     ``digest`` the engine sealed over it?  Shared by both clients (and
     the cluster router) — raises :class:`~repro.errors.IntegrityError`
-    on mismatch; an absent digest (older server) verifies trivially."""
-    if not digest:
-        return
+    on mismatch.  Every answer this program serves carries its digest,
+    so an absent (empty) one is a mismatch too."""
     try:
         actual = payload_digest(value)
     except (TypeError, ValueError):

@@ -148,16 +148,16 @@ class QueryResponse:
     kind: str
     params: dict[str, Any]
     value: Any
+    #: Canonical SHA-256 of ``value`` (see :mod:`repro.integrity`),
+    #: sealed the moment the answer passed its integrity checks.  Rides
+    #: the wire as ``X-Repro-Result-Digest`` so any downstream hop can
+    #: recompute and compare.
+    digest: str
     cached: bool = False
     coalesced: bool = False
     batched: bool = False
     degraded: bool = False
     latency_s: float = 0.0
-    #: Canonical SHA-256 of ``value`` (see :mod:`repro.integrity`),
-    #: sealed the moment the answer passed its integrity checks.  Rides
-    #: the wire as ``X-Repro-Result-Digest`` so any downstream hop can
-    #: recompute and compare.
-    digest: str = ""
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -363,7 +363,6 @@ class QueryEngine:
         cache_size: int = 256,
         max_batch: int = 64,
         default_timeout_s: float = 30.0,
-        metrics: Metrics | None = None,
         fault_plan: FaultPlan | FaultInjector | None = None,
         retry_policy: RetryPolicy = SERVE_RETRY_POLICY,
         breaker_threshold: int = 5,
@@ -397,7 +396,7 @@ class QueryEngine:
         self.cache_size = cache_size
         self.max_batch = max_batch
         self.default_timeout_s = default_timeout_s
-        self.metrics = metrics or Metrics()
+        self.metrics = Metrics()
         self.retry_policy = retry_policy
         self.verify_sample_rate = verify_sample_rate
         self.scrub_interval_s = scrub_interval_s
@@ -551,7 +550,7 @@ class QueryEngine:
         return list(self._cache.items())
 
     def restore_cache(
-        self, entries: list[tuple[Any, Any]]
+        self, entries: list[tuple[Any, ResultEnvelope]]
     ) -> int:
         """Seed the result (and stale) cache from snapshot entries,
         oldest first so the LRU order survives the round trip; returns
@@ -560,16 +559,13 @@ class QueryEngine:
         Every restored envelope is verified — restores are rare and a
         snapshot sat on disk where anything may have happened to it;
         entries failing their digest are quarantined (dropped + counted
-        as ``snapshot_entries_quarantined``), never installed.  Bare
-        values (legacy callers, tests) are sealed on the way in."""
-        for key, value in entries:
-            if not isinstance(value, ResultEnvelope):
-                value = seal(value)
-            elif not value.verify():
+        as ``snapshot_entries_quarantined``), never installed."""
+        for key, envelope in entries:
+            if not envelope.verify():
                 self.metrics.inc("integrity_detected")
                 self.metrics.inc("snapshot_entries_quarantined")
                 continue
-            self._store(key, value)
+            self._store(key, envelope)
         return len(self._cache)
 
     # -- the cache scrubber --------------------------------------------------
@@ -623,7 +619,7 @@ class QueryEngine:
                 quarantined += 1
                 self.metrics.inc("integrity_detected")
                 self._quarantine(key)
-                if entry.can_recompute() and await self._scrub_recompute(entry):
+                if await self._scrub_recompute(entry):
                     recomputed += 1
             await asyncio.sleep(0)
         self._scrub_stats["passes"] += 1
@@ -954,7 +950,7 @@ class QueryEngine:
         value: Any,
         t0: float,
         *,
-        digest: str = "",
+        digest: str,
         **flags: bool,
     ) -> QueryResponse:
         latency = time.perf_counter() - t0

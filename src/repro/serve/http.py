@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import threading
 import time
 import urllib.parse
@@ -200,19 +199,6 @@ def _bounded(cast: type, low: float, high: float | None = None, *,
     return convert
 
 
-class _HandlerConcurrency(argparse.Action):
-    """``--handler-concurrency N``, or its deprecated ``--workers N``
-    spelling with a warning."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--workers":
-            print("warning: --workers is deprecated (it now means in-process "
-                  "handler concurrency, not cluster size); use "
-                  "--handler-concurrency N — or --cluster N for a sharded "
-                  "worker pool", file=sys.stderr, flush=True)
-        setattr(namespace, self.dest, values)
-
-
 #: The flags only one side of ``--cluster`` takes: flag -> (whether it
 #: is the cluster's, its default there).  The parser leaves them
 #: ``None``, so :func:`_check_mode` can tell a flag given on the wrong
@@ -246,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default %(default)s)")
     add("--port", type=int, default=8077,
         help="bind port; 0 picks one (default %(default)s)")
-    add("--handler-concurrency", "--workers", type=count, default=4,
-        action=_HandlerConcurrency, metavar="N", help="concurrent handler "
-        "evaluations (default %(default)s; --workers is deprecated)")
+    add("--handler-concurrency", type=count, default=4, metavar="N",
+        help="concurrent handler evaluations (default %(default)s)")
     add("--queue-size", type=count, default=128, metavar="N",
         help="admission-queue bound per process (default %(default)s)")
     add("--cache-size", type=_bounded(int, 0), default=256, metavar="N",

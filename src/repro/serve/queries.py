@@ -24,14 +24,13 @@ never share entries with the baseline or with other overlays.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import QueryValidationError
 from repro.harness.pipeline import SUBSTRATES
+from repro.integrity.digest import payload_digest
 from repro.scenario.context import scenario_context
 from repro.scenario.spec import ScenarioSpec
 
@@ -73,14 +72,7 @@ def canonical_params(params: Any) -> dict[str, Any]:
 
 def canonical_hash(kind: str, params: Any) -> str:
     """SHA-256 of the canonical (kind, params) encoding."""
-    return _hash_canonical(kind, canonical_params(params))
-
-
-def _hash_canonical(kind: str, canonical: dict[str, Any]) -> str:
-    """SHA-256 of ``kind`` plus params already in canonical form."""
-    payload = {"kind": kind, "params": canonical}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return payload_digest({"kind": kind, "params": canonical_params(params)})
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,9 @@ class Query:
         if axis is None:
             return None
         rest = {k: v for k, v in self.canonical.items() if k != axis}
-        group_hash = _hash_canonical(f"{self.kind.name}@batch", rest)
+        group_hash = payload_digest(
+            {"kind": f"{self.kind.name}@batch", "params": rest}
+        )
         if self.scenario is None:
             return (self.kind.name, group_hash)
         return (self.kind.name, group_hash, self.scenario.fingerprint)
@@ -264,7 +258,7 @@ class QueryRegistry:
         return Query(
             kind=kind,
             params=built,
-            hash=_hash_canonical(name, canonical),
+            hash=payload_digest({"kind": name, "params": canonical}),
             canonical=canonical,
             scenario=scenario,
         )

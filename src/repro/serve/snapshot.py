@@ -2,11 +2,12 @@
 
 A graceful shutdown flushes the engine's result cache to disk so the
 next process starts warm instead of recomputing every popular answer.
-The file is JSON with a format marker, a version, a SHA-256 over the
-canonical encoding of the whole payload, and — since version 2 — a
-SHA-256 per entry (the :class:`~repro.integrity.ResultEnvelope` digest
-sealed when the value was computed) plus each entry's recompute
-provenance.  It is written through
+The file is JSON with a format marker, a version, and a payload whose
+every entry carries its own SHA-256 (the
+:class:`~repro.integrity.ResultEnvelope` digest sealed when the value
+was computed) plus its recompute provenance (``kind``, ``params``, and
+any ``scenario``).  There is no whole-document checksum: the entry
+digests are what the loader checks.  It is written through
 :func:`repro.harness.store.durable_write`, so a crash mid-flush leaves
 the previous snapshot (or nothing), never a torn one.
 
@@ -14,9 +15,9 @@ Loading is paranoid, but no longer all-or-nothing: structural damage —
 unreadable file, invalid JSON, wrong marker, wrong version, missing
 payload — still raises :class:`~repro.errors.SnapshotError` (cold
 start).  *Content* damage is salvaged instead: every entry carries its
-own digest, so a snapshot whose whole-document checksum fails (one
-flipped bit used to cost every entry) restores the entries that still
-verify and quarantines only the damaged ones —
+own digest, so a snapshot with one damaged entry restores the entries
+that still verify and quarantines only the damaged ones (and any entry
+missing its digest or provenance) —
 :attr:`LoadedSnapshot.quarantined` counts them, and the server reports
 the tally as ``snapshot_entries_quarantined``.  A corrupt snapshot
 costs partial warmth, never correctness, and never a crash.
@@ -33,14 +34,13 @@ out, it is never served wrongly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import SnapshotError
-from repro.integrity.envelope import ResultEnvelope, seal
+from repro.integrity.envelope import ResultEnvelope
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -81,11 +81,6 @@ def _decode_key(obj: Any) -> tuple:
         raise SnapshotError(f"snapshot entry has a malformed key: {exc}") from exc
 
 
-def _payload_digest(payload: dict[str, Any]) -> str:
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class LoadedSnapshot:
     """One salvage-aware snapshot read.
@@ -101,37 +96,31 @@ class LoadedSnapshot:
     total: int = 0
 
 
-def save_snapshot(path: str | Path, entries: list[tuple[tuple, Any]]) -> int:
+def save_snapshot(
+    path: str | Path, entries: list[tuple[tuple, ResultEnvelope]]
+) -> int:
     """Durably write the cache ``entries`` to ``path``; returns the count.
 
     Entries are ``(key, ResultEnvelope)`` pairs straight from
-    :meth:`QueryEngine.cache_entries`; bare values (legacy callers,
-    tests) are sealed into envelopes on the way out, so every written
-    entry carries a digest.  Raises
+    :meth:`QueryEngine.cache_entries`, so every written entry carries
+    its digest and provenance.  Raises
     :class:`~repro.errors.StoreError` if the durable write fails and
     :class:`SnapshotError` if an entry's value is not JSON-encodable
     (cached values are wire payloads, so this indicates a handler bug
     worth surfacing at flush time, not at next load).
     """
     try:
-        encoded_entries = []
-        for key, value in entries:
-            if not isinstance(value, ResultEnvelope):
-                value = seal(value)
-            encoded_entries.append(value.to_snapshot_dict(_encode_key(key)))
-    except (TypeError, ValueError) as exc:
-        raise SnapshotError(f"cache snapshot is not serialisable: {exc}") from exc
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "entries": encoded_entries,
-    }
-    try:
         document = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "sha256": _payload_digest(payload),
-            "payload": payload,
+            "payload": {
+                "format": SNAPSHOT_FORMAT,
+                "version": SNAPSHOT_VERSION,
+                "entries": [
+                    envelope.to_snapshot_dict(_encode_key(key))
+                    for key, envelope in entries
+                ],
+            },
         }
         body = json.dumps(document, sort_keys=True, indent=2) + "\n"
     except (TypeError, ValueError) as exc:
@@ -139,7 +128,7 @@ def save_snapshot(path: str | Path, entries: list[tuple[tuple, Any]]) -> int:
     from repro.harness.store import durable_write
 
     durable_write(Path(path), body.encode("utf-8"))
-    return len(payload["entries"])
+    return len(entries)
 
 
 def load_snapshot(path: str | Path) -> LoadedSnapshot:
@@ -151,10 +140,9 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     :class:`SnapshotError`, distinguishable by message, so call sites
     have exactly one failure path.)  *Content* damage is per-entry:
     each entry's value is re-hashed against the ``sha256`` sealed at
-    flush time, and only matching entries are returned; the rest are
-    counted in :attr:`LoadedSnapshot.quarantined`.  The whole-document
-    checksum is advisory under this scheme — whether it matches or not,
-    exactly the per-entry-verified subset is restored.
+    flush time, and only matching entries are returned; the rest, and
+    entries missing their key, digest, ``kind`` or ``params``, are
+    counted in :attr:`LoadedSnapshot.quarantined`.
     """
     path = Path(path)
     try:
@@ -186,15 +174,12 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     entries: list[tuple[tuple, ResultEnvelope]] = []
     quarantined = 0
     for raw_entry in raw_entries:
-        if not isinstance(raw_entry, dict) or "key" not in raw_entry:
-            quarantined += 1
-            continue
         try:
             key = _decode_key(raw_entry["key"])
-        except SnapshotError:
+            envelope = ResultEnvelope.from_snapshot_dict(raw_entry)
+        except (SnapshotError, KeyError, TypeError, ValueError):
             quarantined += 1
             continue
-        envelope = ResultEnvelope.from_snapshot_dict(raw_entry)
         if not envelope.verify():
             quarantined += 1
             continue

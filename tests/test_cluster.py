@@ -218,7 +218,7 @@ class TestTextMetrics:
             assert 'shard="3"' in line, line
 
 
-# -- flag rename: --workers -> --handler-concurrency -------------------------
+# -- --handler-concurrency ---------------------------------------------------
 
 
 class TestHandlerConcurrencyFlag:
@@ -229,13 +229,6 @@ class TestHandlerConcurrencyFlag:
             ["--handler-concurrency", "9", "--port", "0"]
         )
         assert args.handler_concurrency == 9
-
-    def test_deprecated_alias_warns_and_wins(self, capsys):
-        from repro.serve.http import build_parser
-
-        args = build_parser().parse_args(["--workers", "7"])
-        assert args.handler_concurrency == 7
-        assert "deprecated" in capsys.readouterr().err
 
     def test_default(self):
         from repro.serve.http import build_parser

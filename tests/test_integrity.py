@@ -36,6 +36,7 @@ from repro.integrity import (
 )
 from repro.resilience import FaultPlan, FaultRule, RetryPolicy
 from repro.serve import QueryEngine, default_registry
+from repro.serve.wire import HttpServer, json_response
 
 
 def run(coro):
@@ -79,7 +80,7 @@ class TestSingleBitFlipDetection:
         (parse failure, shape failure, digest mismatch) or the decoded
         value is provably unchanged.  Silent value corruption is the
         one outcome that must be impossible."""
-        env = seal(value)
+        env = seal(value, kind="echo", params={})
         entry = canonical({"sha256": env.digest, "value": env.value})
         bit = data.draw(
             st.integers(min_value=0, max_value=len(entry) * 8 - 1),
@@ -123,7 +124,7 @@ class TestSingleBitFlipDetection:
                             max_size=3),
             label="extras",
         )
-        env = seal({"x": leaf, **extras})
+        env = seal({"x": leaf, **extras}, kind="echo", params={})
         assert env.verify()
         corrupt_payload(env.value)
         assert not env.verify()
@@ -182,16 +183,17 @@ class TestNoFalsePositives:
             json.loads(json.dumps(env.to_snapshot_dict({"k": 1})))
         )
         assert clone.verify()
-        assert clone.can_recompute()
         assert (clone.kind, clone.params, clone.scenario) == (
             "node_hours", {"speedup": 4.0}, {"name": "what-if"}
         )
 
-    def test_bytes_digest_is_the_shared_primitive(self):
-        from repro.harness.store import sha256_bytes
+    def test_bytes_digest_is_the_shared_primitive(self, tmp_path):
+        from repro.harness.store import durable_write, sha256_file
 
         blob = b"one digest discipline"
-        assert sha256_bytes(blob) == bytes_digest(blob)
+        path = tmp_path / "blob.bin"
+        assert durable_write(path, blob) == bytes_digest(blob)
+        assert sha256_file(path) == bytes_digest(blob)
         assert payload_digest("x") == bytes_digest(b'"x"')
 
 
@@ -416,3 +418,120 @@ class TestScrubber:
 
         tallies = run(go())
         assert tallies == {"scanned": 3, "quarantined": 0, "recomputed": 0}
+
+
+# -- one digest, always present ----------------------------------------------
+
+
+class _StubShard(HttpServer):
+    """A worker stand-in, serving on a loop of its own: every request
+    gets the next canned 200 payload from a list it shares with its
+    sibling shards."""
+
+    def __init__(self, replies):
+        super().__init__()
+        self.replies = replies
+        self.listen("127.0.0.1", 0)
+        self.start()
+
+    async def respond(self, request):
+        return json_response(200, self.replies.pop(0))
+
+
+ME_QUERY = ("me_speedup", {"device": "v100", "fmt": "fp16"})
+STUB_VALUE = {"answer": 1.0}
+
+
+def _stub_reply(digest=True):
+    reply = {"kind": ME_QUERY[0], "params": ME_QUERY[1], "value": STUB_VALUE}
+    if digest:
+        reply["digest"] = payload_digest(STUB_VALUE)
+    return reply
+
+
+class TestDigestIsRequired:
+    def test_missing_digest_fails_verification(self):
+        from repro.serve.client import verify_response_digest
+
+        verify_response_digest(
+            STUB_VALUE, payload_digest(STUB_VALUE), where="test"
+        )
+        with pytest.raises(IntegrityError):
+            verify_response_digest(STUB_VALUE, "", where="test")
+
+    def test_router_rejects_and_spills_a_digest_less_reply(self):
+        from repro.cluster.protocol import ShardTable
+        from repro.cluster.ring import HashRing
+        from repro.cluster.router import ClusterRouter
+        from repro.serve import HttpServeClient
+
+        # Whichever shard is primary answers first, without a digest;
+        # its ring neighbour then answers honestly.
+        replies = [_stub_reply(digest=False), _stub_reply()]
+        shards = [_StubShard(replies), _StubShard(replies)]
+        table = ShardTable([0, 1])
+        for sid, shard in enumerate(shards):
+            table.mark_up(sid, shard.url, pid=None)
+        router = ClusterRouter(table, HashRing([0, 1], vnodes=16, seed=0))
+        router.start("127.0.0.1", 0)
+        try:
+            payload = HttpServeClient(router.url, verify_digest=True).query(
+                *ME_QUERY
+            )
+        finally:
+            router.stop()
+            for shard in shards:
+                shard.stop()
+        assert payload["value"] == STUB_VALUE
+        assert payload["spilled"] is True
+        assert replies == []
+        assert router.counters["integrity_rejected"].value == 1
+        assert router.counters["spilled"].value == 1
+
+    def test_http_client_rejects_a_digest_less_reply(self):
+        from repro.serve import HttpServeClient
+
+        shard = _StubShard([_stub_reply(digest=False)])
+        try:
+            with pytest.raises(IntegrityError):
+                HttpServeClient(shard.url, verify_digest=True).query(
+                    *ME_QUERY
+                )
+        finally:
+            shard.stop()
+
+
+class TestDigestPins:
+    """Every hash this program writes, pinned to its value before all
+    canonical hashing moved onto :func:`payload_digest`."""
+
+    def test_payload_digest(self):
+        value = {"value": [1, 2.5, "inf", None, True],
+                 "b": {"z": -0.0, "a": "λ"}}
+        assert payload_digest(value) == (
+            "22b80f8e2964659ccf52f7667154c142c3bdf8a2879b19726552abbe562af457"
+        )
+
+    def test_query_hash(self):
+        from repro.serve.queries import canonical_hash
+
+        assert canonical_hash(
+            "node_hours", {"scenario": "anl", "speedup": 4.0}
+        ) == "9ea16da6125ec3fcee09a28ee940b4083bcb0ca841e6b394ed5f9c20cbc4b5da"
+
+    def test_scenario_fingerprint(self):
+        from repro.scenario import load_scenario, scenario_fingerprint
+
+        spec = load_scenario("examples/scenarios/int8_matrix_engine.json")
+        assert scenario_fingerprint(spec) == (
+            "02861ae3a7fbc77dcb5d755e2ce4d2d75008c732a011d98c21bf858cedb33df2"
+        )
+
+    def test_fault_plan_fingerprint(self):
+        from repro.resilience import load_fault_plan
+        from repro.resilience.faultplan import fault_plan_fingerprint
+
+        plan = load_fault_plan("examples/faultplans/integrity_chaos.json")
+        assert fault_plan_fingerprint(plan) == (
+            "89353c9edd551aa0244f14197b3d46e13e90e2324a4018f0a4dfbbbd8f1030fe"
+        )

@@ -301,6 +301,22 @@ class TestPairSelection:
         assert finite.sum() == 3
         np.testing.assert_array_equal(c[finite], expected[finite])
 
+    @pytest.mark.parametrize("compensated", [True, False])
+    @pytest.mark.parametrize("accuracy", ["sgemm", "dgemm", "full"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_overflowing_entry_is_the_signed_inf(
+        self, sign, accuracy, compensated
+    ):
+        a = np.array([[1e160, 1.0], [1.0, 1.0]])
+        b = sign * a
+        with np.errstate(over="ignore"):
+            expected = a @ b
+            c = ozaki_gemm(
+                a, b, accuracy=accuracy, compensated=compensated
+            ).c
+        assert expected[0, 0] == sign * np.inf
+        np.testing.assert_array_equal(c, expected)
+
     @pytest.mark.parametrize("k", [1, 3, 96])
     def test_a_bound_equal_to_the_threshold_drops_the_pair(self, k):
         # dgemm threshold = 2^-53 * magnitude; one slice, unit scales,
@@ -330,6 +346,14 @@ class TestSummation:
         terms = [np.array([[1e20]]), np.array([[1.0]]), np.array([[-1e20]])]
         assert compensated_sum(terms)[0, 0] == 1.0
         assert pairwise_fixed_sum(terms)[0, 0] == 0.0
+
+    @pytest.mark.parametrize("summation", [compensated_sum, pairwise_fixed_sum])
+    def test_an_infinite_partial_sum_is_kept(self, summation):
+        terms = [np.array([[np.inf, 1.0]]), np.array([[-np.inf, 2.0]]),
+                 np.array([[1.0, -np.inf]])]
+        np.testing.assert_array_equal(
+            summation(terms), np.array([[np.inf, -np.inf]])
+        )
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

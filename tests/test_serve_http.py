@@ -428,7 +428,7 @@ class TestServeCli:
           for flag, value in [
               ("--cache-size", "-1"),
               ("--handler-concurrency", "0"),
-              ("--workers", "0"),
+              ("--workers", "4"),  # the removed spelling
               ("--queue-size", "0"),
               ("--verify-sample-rate", "2"),
               ("--verify-sample-rate", "-0.5"),

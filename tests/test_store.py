@@ -20,8 +20,8 @@ from repro.harness.store import (
     durable_write_text,
     quarantine,
     read_journal,
-    sha256_bytes,
 )
+from repro.integrity import bytes_digest, seal
 from repro.resilience import FaultPlan, FaultRule, fault_context
 
 
@@ -72,9 +72,9 @@ class TestDurableWrite:
         ))
         with fault_context(plan):
             digest = durable_write(path, data)
-        assert digest == sha256_bytes(data)
+        assert digest == bytes_digest(data)
         assert path.read_bytes() != data
-        assert sha256_bytes(path.read_bytes()) != digest
+        assert bytes_digest(path.read_bytes()) != digest
 
 
 class TestRunJournal:
@@ -213,8 +213,11 @@ class TestAudit:
 class TestSnapshotFormat:
     def _entries(self):
         return [
-            (("hash-1", (("k_year", 1),)), {"answer": 1}),
-            (("hash-2", (("k_year", 1),), "fp-a"), [1, 2, 3]),
+            (("hash-1", (("k_year", 1),)),
+             seal({"answer": 1}, kind="echo", params={"n": 1})),
+            (("hash-2", (("k_year", 1),), "fp-a"),
+             seal([1, 2, 3], kind="echo", params={"n": 2},
+                  scenario={"name": "fp-a"})),
         ]
 
     def test_round_trip_preserves_keys_and_values(self, tmp_path):
@@ -224,9 +227,37 @@ class TestSnapshotFormat:
         assert save_snapshot(path, self._entries()) == 2
         loaded = load_snapshot(path)
         assert loaded.quarantined == 0 and loaded.total == 2
-        assert [
-            (key, env.value) for key, env in loaded.entries
-        ] == self._entries()
+        assert loaded.entries == self._entries()
+
+    @pytest.mark.parametrize("field", ["kind", "params"])
+    def test_entry_without_provenance_is_quarantined(self, tmp_path, field):
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+
+        path = tmp_path / "cache.json"
+        save_snapshot(path, self._entries())
+        document = json.loads(path.read_text())
+        # Its digest still verifies: only the recompute provenance the
+        # scrubber needs is gone.
+        del document["payload"]["entries"][0][field]
+        path.write_text(json.dumps(document))
+        loaded = load_snapshot(path)
+        assert loaded.quarantined == 1 and loaded.total == 2
+        assert [key for key, _ in loaded.entries] == [
+            ("hash-2", (("k_year", 1),), "fp-a")
+        ]
+
+    def test_no_whole_document_checksum(self, tmp_path):
+        from repro.serve.snapshot import load_snapshot, save_snapshot
+
+        path = tmp_path / "cache.json"
+        save_snapshot(path, self._entries())
+        document = json.loads(path.read_text())
+        assert set(document) == {"format", "version", "payload"}
+        # Files that still carry one (older writers) restore unchanged:
+        # the reader never looked at it.
+        document["sha256"] = "0" * 64
+        path.write_text(json.dumps(document))
+        assert load_snapshot(path).entries == self._entries()
 
     def test_every_entry_carries_its_own_digest(self, tmp_path):
         from repro.integrity import payload_digest

@@ -419,14 +419,14 @@ class TestHttpDeadlines:
         assert status == 504
         assert payload["code"] == "deadline_exhausted"
 
-    def test_deprecated_workers_alias_warns_and_is_honored(self, capsys):
-        # Satellite check rides here: both spellings of handler
-        # concurrency parse, the legacy one loudly.
+    def test_handler_concurrency_flag_is_honored(self, capsys):
         from repro.serve.http import build_parser
 
-        args = build_parser().parse_args(["--workers", "6", "--port", "0"])
+        args = build_parser().parse_args(
+            ["--handler-concurrency", "6", "--port", "0"]
+        )
         assert args.handler_concurrency == 6
-        assert "deprecated" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
 
 
 # -- router: budget-aware spill ----------------------------------------------
