@@ -98,7 +98,7 @@ ROUTER_COUNTERS = (
     "deadline_rejected",  # refused: the deadline budget died at the router
     "hedges",            # backup requests issued to a ring neighbour
     "hedge_wins",        # hedged queries answered by the backup first
-    "integrity_rejected",  # 200 replies dropped: digest mismatch (spilled)
+    "integrity_rejected",  # spilled: digest mismatch or integrity_error
 )
 
 #: Longest wait on one forwarded query (a propagated deadline budget
@@ -344,6 +344,7 @@ class ClusterRouter(HttpServer):
             ))
         preference = self.ring.preference(key, self.spill + 1)
         skipped: list[str] = []
+        rejected: list[bytes] = []  # typed integrity errors, spilled past
         # Pre-filter the preference list into live candidates.  Budget
         # awareness happens here: a shard whose cooldown or breaker
         # open window outlasts the remaining budget cannot possibly
@@ -407,16 +408,17 @@ class ClusterRouter(HttpServer):
                 if backup is not None:
                     result, hedged = await self._race_hedged(
                         shard, url, breaker, backup, delay,
-                        body, budget, t0, skipped,
+                        body, budget, t0, skipped, rejected,
                     )
                 else:
                     result = await self._attempt(
                         shard, url, breaker, claimed,
-                        body, budget, t0, skipped,
+                        body, budget, t0, skipped, rejected,
                     )
             else:
                 result = await self._attempt(
-                    shard, url, breaker, claimed, body, budget, t0, skipped,
+                    shard, url, breaker, claimed,
+                    body, budget, t0, skipped, rejected,
                 )
             if result is None:
                 continue
@@ -442,6 +444,11 @@ class ClusterRouter(HttpServer):
                 {} if retry_after is None
                 else {"Retry-After": f"{retry_after:g}"}
             ))
+        if rejected:
+            # Every shard that answered failed its integrity check: the
+            # client gets the last one's typed error, not a 503.
+            self._inc("routed")
+            return Response(500, rejected[-1])
         self._inc("unroutable")
         return error_response(ShardUnavailable(
             f"no shard available for this query "
@@ -458,6 +465,7 @@ class ClusterRouter(HttpServer):
         budget: DeadlineBudget | None,
         t0: float,
         skipped: list[str],
+        rejected: list[bytes],
         store: bool = True,
     ) -> _Attempt | None:
         """One forwarded request to one shard.
@@ -466,7 +474,8 @@ class ClusterRouter(HttpServer):
         gave a verdict worth returning to the client, or ``None`` when
         the caller should spill to the next ring neighbour.  A 200's
         ``payload`` is the reply decoded once and digest-verified; any
-        other status keeps the raw bytes.
+        other status keeps the raw bytes.  A typed ``integrity_error``
+        spills like a digest mismatch, its body kept in ``rejected``.
         ``store=False`` marks a hedged backup: the shard answers but
         keeps the duplicate result out of its caches.
         """
@@ -518,6 +527,14 @@ class ClusterRouter(HttpServer):
             skipped.append(
                 f"shard {shard} returned a corrupt payload (digest mismatch)"
             )
+            return None
+        if status == 500 and self._wire_code(payload) == "integrity_error":
+            # The shard caught its own corruption and gave up on the
+            # query; a healthy neighbour recomputes it.
+            breaker.record_failure()
+            self._inc("integrity_rejected")
+            skipped.append(f"shard {shard} failed its integrity check")
+            rejected.append(payload)
             return None
         breaker.record_success()
         retry_after = self._retry_after(headers)
@@ -584,6 +601,7 @@ class ClusterRouter(HttpServer):
         budget: DeadlineBudget | None,
         t0: float,
         skipped: list[str],
+        rejected: list[bytes],
     ) -> tuple[_Attempt | None, bool]:
         """Race the primary against a delayed backup; first verdict wins.
 
@@ -592,7 +610,7 @@ class ClusterRouter(HttpServer):
         backup was actually launched (for the response annotation).
         """
         primary = asyncio.ensure_future(self._attempt(
-            shard, url, breaker, False, body, budget, t0, skipped,
+            shard, url, breaker, False, body, budget, t0, skipped, rejected,
         ))
         done, _ = await asyncio.wait({primary}, timeout=delay)
         if done:
@@ -605,7 +623,7 @@ class ClusterRouter(HttpServer):
         self._inc("hedges")
         secondary = asyncio.ensure_future(self._attempt(
             b_shard, b_url, b_breaker, b_claimed,
-            body, budget, t0, skipped, store=False,
+            body, budget, t0, skipped, rejected, store=False,
         ))
         pending = {primary, secondary}
         result: _Attempt | None = None

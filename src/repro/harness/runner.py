@@ -24,7 +24,7 @@ def section_iii_a() -> dict:
     :func:`repro.joblog.generate_k_year` — seeded, hence identical).
     """
     year = generate_k_year()
-    attribution = attribute_gemm_node_hours(year.jobs)
+    attribution = attribute_gemm_node_hours(year)
     text = render_table(
         ["Metric", "Value", "Paper"],
         [
@@ -42,7 +42,7 @@ def section_iii_a() -> dict:
         "attribution": attribution,
         "nominal_jobs": year.nominal_jobs,
         "nominal_node_hours": year.nominal_node_hours,
-        "sample_size": len(year.jobs),
+        "sample_size": len(year.node_hours),
         "text": text,
     }
 

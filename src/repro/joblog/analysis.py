@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.joblog.records import JobRecord
+import numpy as np
+
+from repro.joblog.generator import KComputerYear, sequential_sum
 
 __all__ = ["GemmAttribution", "attribute_gemm_node_hours"]
 
@@ -77,24 +78,21 @@ def estimate_energy_savings(
     }
 
 
-def attribute_gemm_node_hours(
-    jobs: Iterable[JobRecord],
-) -> GemmAttribution:
-    """Aggregate GEMM-linkage over a job population."""
-    total = covered = gemm = 0.0
-    n_jobs = n_gemm = 0
-    for job in jobs:
-        n_jobs += 1
-        total += job.node_hours
-        if job.has_symbol_data:
-            covered += job.node_hours
-            if job.gemm_linked:
-                gemm += job.node_hours
-                n_gemm += 1
+def attribute_gemm_node_hours(year: KComputerYear) -> GemmAttribution:
+    """Aggregate GEMM-linkage over a job population.
+
+    The nm grep runs once per distinct symbol table, not once per job,
+    and each total adds its jobs' node-hours in job order.
+    """
+    # One flag per table, plus a trailing False that table_id -1 (no
+    # symbol data) indexes.
+    table_gemm = np.array([t.has_gemm() for t in year.tables] + [False])
+    gemm = table_gemm[year.table_id]
+    hours = year.node_hours
     return GemmAttribution(
-        total_node_hours=total,
-        covered_node_hours=covered,
-        gemm_node_hours=gemm,
-        total_jobs=n_jobs,
-        gemm_jobs=n_gemm,
+        total_node_hours=sequential_sum(hours),
+        covered_node_hours=sequential_sum(hours[year.table_id >= 0]),
+        gemm_node_hours=sequential_sum(hours[gemm]),
+        total_jobs=len(hours),
+        gemm_jobs=int(np.count_nonzero(gemm)),
     )

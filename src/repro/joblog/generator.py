@@ -14,13 +14,16 @@ population for fast tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.harness.cache import memoize_substrate
 from repro.joblog.records import JobRecord, SymbolTable
 
-__all__ = ["KComputerYear", "generate_k_year", "K_DOMAIN_MIX"]
+__all__ = [
+    "KComputerYear", "generate_k_year", "sequential_sum", "K_DOMAIN_MIX",
+]
 
 #: Node-hour share per science domain (K computer annual report).
 K_DOMAIN_MIX: dict[str, float] = {
@@ -54,17 +57,65 @@ _BASE_SYMBOLS = (
 _GEMM_SYMBOLS = ("dgemm_", "sgemm_", "fjblas_gemm_kernel", "zgemm_")
 
 
-@dataclass(frozen=True)
-class KComputerYear:
-    """The generated population plus its nominal totals."""
+def sequential_sum(x: np.ndarray) -> float:
+    """Left-to-right float sum of ``x`` (0.0 when empty).
 
-    jobs: tuple[JobRecord, ...]
+    This is the running total a per-record loop computes: ``np.sum``
+    adds pairwise and builtin ``sum`` compensates from Python 3.12, so
+    either would move the last bits of the Sec. III-A figures.
+    """
+    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class KComputerYear:
+    """The generated population, one column per record field, plus its
+    nominal totals.
+
+    Job ``i`` runs in ``domains[domain_idx[i]]`` for ``node_hours[i]``
+    as application number ``app_id[i]``, with symbol table
+    ``tables[table_id[i]]``, or no symbol data where ``table_id[i]`` is
+    -1.  The population draws at most 11 distinct tables.
+    """
+
+    domains: tuple[str, ...]
+    domain_idx: np.ndarray
+    node_hours: np.ndarray
+    app_id: np.ndarray
+    table_id: np.ndarray
+    tables: tuple[SymbolTable, ...]
     nominal_jobs: int
     nominal_node_hours: float
 
     @property
     def total_node_hours(self) -> float:
-        return sum(j.node_hours for j in self.jobs)
+        return sequential_sum(self.node_hours)
+
+    @cached_property
+    def jobs(self) -> tuple[JobRecord, ...]:
+        """The population as records, built on first access and left
+        out of the pickled state."""
+        slugs = [d.lower().replace(" ", "_") for d in self.domains]
+        return tuple(
+            JobRecord(
+                job_id=i,
+                app_name=f"{slugs[d]}_app{app:03d}",
+                domain=self.domains[d],
+                node_hours=hours,
+                symbols=None if t < 0 else self.tables[t],
+            )
+            for i, (d, hours, app, t) in enumerate(zip(
+                self.domain_idx.tolist(), self.node_hours.tolist(),
+                self.app_id.tolist(), self.table_id.tolist(),
+            ))
+        )
+
+    def __getstate__(self) -> dict:
+        # Ship the columns only: a worker process pickles the year back
+        # to the pipeline, and the records are 20k objects.
+        state = dict(self.__dict__)
+        state.pop("jobs", None)
+        return state
 
 
 @memoize_substrate("k_year")
@@ -75,7 +126,7 @@ def generate_k_year(
     nominal_node_hours: float = 543_000_000.0,
     seed: int = 20180401,
 ) -> KComputerYear:
-    """Generate a (scaled) year of job records.
+    """Generate a (scaled) year of job records, stored as columns.
 
     ``jobs`` controls the sample size actually materialised; node-hours
     are scaled so the population totals ``nominal_node_hours``.
@@ -115,31 +166,41 @@ def generate_k_year(
         cum = np.cumsum(node_hours[order])
         linked[order[cum <= target]] = True
 
-    records = []
-    for i in range(jobs):
-        domain = domains[domain_idx[i]]
-        if covered[i]:
-            syms = set(_BASE_SYMBOLS)
-            if linked[i]:
-                syms.update(
-                    rng.choice(_GEMM_SYMBOLS,
-                               size=int(rng.integers(1, 3)),
-                               replace=False).tolist()
-                )
-            table: SymbolTable | None = SymbolTable(frozenset(syms))
+    # One draw sequence per job, in job order: a covered, linked job
+    # draws its GEMM symbol count and then the symbols; every job draws
+    # its application number.
+    integers, choice = rng.integers, rng.choice
+    table_of: dict[frozenset[int], int] = {}
+    table_id: list[int] = []
+    app_id: list[int] = []
+    for is_covered, is_linked in zip(covered.tolist(), linked.tolist()):
+        if is_covered:
+            gemm = frozenset(
+                choice(len(_GEMM_SYMBOLS), size=int(integers(1, 3)),
+                       replace=False).tolist()
+            ) if is_linked else frozenset()
+            table_id.append(table_of.setdefault(gemm, len(table_of)))
         else:
-            table = None
-        records.append(
-            JobRecord(
-                job_id=i,
-                app_name=f"{domain.lower().replace(' ', '_')}_app{int(rng.integers(0, 400)):03d}",
-                domain=domain,
-                node_hours=float(node_hours[i]),
-                symbols=table,
-            )
-        )
+            table_id.append(-1)
+        app_id.append(int(integers(0, 400)))
+    tables = tuple(
+        SymbolTable(frozenset(_BASE_SYMBOLS).union(
+            _GEMM_SYMBOLS[k] for k in gemm
+        ))
+        for gemm in table_of
+    )
+    columns = {
+        "domain_idx": domain_idx.astype(np.int8),
+        "node_hours": node_hours,
+        "app_id": np.array(app_id, dtype=np.int16),
+        "table_id": np.array(table_id, dtype=np.int8),
+    }
+    for column in columns.values():
+        column.setflags(write=False)
     return KComputerYear(
-        jobs=tuple(records),
+        domains=tuple(domains),
+        tables=tables,
         nominal_jobs=nominal_jobs,
         nominal_node_hours=nominal_node_hours,
+        **columns,
     )

@@ -94,12 +94,13 @@ def generate_spack_index(
             # Depend on 1-3 packages of the previous shell, which pins the
             # BFS distance; sibling links within the shell are harmless.
             n_deps = int(rng.integers(1, 4))
-            deps = set(
-                rng.choice(prev, size=min(n_deps, len(prev)),
-                           replace=False).tolist()
-            )
+            deps = {
+                prev[k] for k in rng.choice(
+                    len(prev), size=min(n_deps, len(prev)), replace=False
+                ).tolist()
+            }
             if shell and rng.random() < 0.25:
-                deps.add(str(rng.choice(shell)))
+                deps.add(shell[rng.choice(len(shell))])
             if lang == "py":
                 deps.add("python")
             elif lang == "r":
@@ -119,8 +120,10 @@ def generate_spack_index(
         if independent and rng.random() < 0.5:
             k = int(rng.integers(1, 3))
             deps.update(
-                rng.choice(independent, size=min(k, len(independent)),
-                           replace=False).tolist()
+                independent[j] for j in rng.choice(
+                    len(independent), size=min(k, len(independent)),
+                    replace=False,
+                ).tolist()
             )
         if lang == "py":
             deps.add("python")

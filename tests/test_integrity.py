@@ -36,7 +36,12 @@ from repro.integrity import (
 )
 from repro.resilience import FaultPlan, FaultRule, RetryPolicy
 from repro.serve import QueryEngine, default_registry
-from repro.serve.wire import HttpServer, json_response
+from repro.serve.wire import (
+    HttpServer,
+    Response,
+    error_response,
+    json_response,
+)
 
 
 def run(coro):
@@ -425,8 +430,8 @@ class TestScrubber:
 
 class _StubShard(HttpServer):
     """A worker stand-in, serving on a loop of its own: every request
-    gets the next canned 200 payload from a list it shares with its
-    sibling shards."""
+    gets the next canned reply from a list it shares with its sibling
+    shards — a payload to send as a 200, or a whole ``Response``."""
 
     def __init__(self, replies):
         super().__init__()
@@ -435,7 +440,9 @@ class _StubShard(HttpServer):
         self.start()
 
     async def respond(self, request):
-        return json_response(200, self.replies.pop(0))
+        reply = self.replies.pop(0)
+        return reply if isinstance(reply, Response) else \
+            json_response(200, reply)
 
 
 ME_QUERY = ("me_speedup", {"device": "v100", "fmt": "fp16"})
@@ -449,6 +456,35 @@ def _stub_reply(digest=True):
     return reply
 
 
+def _integrity_failure(message="answer failed its integrity check"):
+    return error_response(IntegrityError(message, check="answer.echo"))
+
+
+def _route_through_stubs(replies):
+    """Route ``ME_QUERY`` through a router over two stub shards sharing
+    ``replies``; returns the verified payload and the stopped router."""
+    from repro.cluster.protocol import ShardTable
+    from repro.cluster.ring import HashRing
+    from repro.cluster.router import ClusterRouter
+    from repro.serve import HttpServeClient
+
+    shards = [_StubShard(replies), _StubShard(replies)]
+    table = ShardTable([0, 1])
+    for sid, shard in enumerate(shards):
+        table.mark_up(sid, shard.url, pid=None)
+    router = ClusterRouter(table, HashRing([0, 1], vnodes=16, seed=0))
+    router.start("127.0.0.1", 0)
+    try:
+        payload = HttpServeClient(router.url, verify_digest=True).query(
+            *ME_QUERY
+        )
+    finally:
+        router.stop()
+        for shard in shards:
+            shard.stop()
+    return payload, router
+
+
 class TestDigestIsRequired:
     def test_missing_digest_fails_verification(self):
         from repro.serve.client import verify_response_digest
@@ -460,33 +496,32 @@ class TestDigestIsRequired:
             verify_response_digest(STUB_VALUE, "", where="test")
 
     def test_router_rejects_and_spills_a_digest_less_reply(self):
-        from repro.cluster.protocol import ShardTable
-        from repro.cluster.ring import HashRing
-        from repro.cluster.router import ClusterRouter
-        from repro.serve import HttpServeClient
-
         # Whichever shard is primary answers first, without a digest;
         # its ring neighbour then answers honestly.
         replies = [_stub_reply(digest=False), _stub_reply()]
-        shards = [_StubShard(replies), _StubShard(replies)]
-        table = ShardTable([0, 1])
-        for sid, shard in enumerate(shards):
-            table.mark_up(sid, shard.url, pid=None)
-        router = ClusterRouter(table, HashRing([0, 1], vnodes=16, seed=0))
-        router.start("127.0.0.1", 0)
-        try:
-            payload = HttpServeClient(router.url, verify_digest=True).query(
-                *ME_QUERY
-            )
-        finally:
-            router.stop()
-            for shard in shards:
-                shard.stop()
+        payload, router = _route_through_stubs(replies)
         assert payload["value"] == STUB_VALUE
         assert payload["spilled"] is True
         assert replies == []
         assert router.counters["integrity_rejected"].value == 1
         assert router.counters["spilled"].value == 1
+
+    def test_router_spills_a_shard_integrity_error(self):
+        # Whichever shard is primary gives up with a typed 500
+        # integrity_error; its ring neighbour then answers honestly.
+        replies = [_integrity_failure(), _stub_reply()]
+        payload, router = _route_through_stubs(replies)
+        assert payload["value"] == STUB_VALUE
+        assert payload["spilled"] is True
+        assert replies == []
+        assert router.counters["integrity_rejected"].value == 1
+        assert router.counters["spilled"].value == 1
+        assert router.counters["unroutable"].value == 0
+
+    def test_router_returns_the_last_integrity_error_if_all_fail(self):
+        replies = [_integrity_failure("first"), _integrity_failure("last")]
+        with pytest.raises(IntegrityError, match="last"):
+            _route_through_stubs(replies)
 
     def test_http_client_rejects_a_digest_less_reply(self):
         from repro.serve import HttpServeClient

@@ -1,8 +1,14 @@
 """Tests for the K-computer accounting substrate (Sec. III-A)."""
 
+import hashlib
+import pickle
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.joblog import (
+    GemmAttribution,
     JobRecord,
     SymbolTable,
     attribute_gemm_node_hours,
@@ -55,7 +61,7 @@ def year():
 
 @pytest.fixture(scope="module")
 def attribution(year):
-    return attribute_gemm_node_hours(year.jobs)
+    return attribute_gemm_node_hours(year)
 
 
 class TestKYearStatistics:
@@ -78,16 +84,89 @@ class TestKYearStatistics:
         assert attribution.best_case_halving
 
     def test_deterministic(self):
-        a = attribute_gemm_node_hours(generate_k_year(seed=5).jobs)
-        b = attribute_gemm_node_hours(generate_k_year(seed=5).jobs)
+        a = attribute_gemm_node_hours(generate_k_year(seed=5))
+        b = attribute_gemm_node_hours(generate_k_year(seed=5))
         assert a == b
 
     def test_scaling_preserves_statistics(self):
-        small = attribute_gemm_node_hours(generate_k_year(jobs=4000).jobs)
+        small = attribute_gemm_node_hours(generate_k_year(jobs=4000))
         assert small.gemm_fraction == pytest.approx(0.534, abs=0.04)
         assert small.total_node_hours == pytest.approx(543e6, rel=1e-6)
 
     def test_empty_population(self):
-        a = attribute_gemm_node_hours([])
+        a = attribute_gemm_node_hours(generate_k_year(jobs=0))
+        assert a.total_jobs == 0
         assert a.gemm_fraction == 0.0
         assert a.coverage == 0.0
+
+
+def _reference_attribution(jobs):
+    """The per-record attribution loop the columnar one must match."""
+    total = covered = gemm = 0.0
+    n_jobs = n_gemm = 0
+    for job in jobs:
+        n_jobs += 1
+        total += job.node_hours
+        if job.has_symbol_data:
+            covered += job.node_hours
+            if job.gemm_linked:
+                gemm += job.node_hours
+                n_gemm += 1
+    return GemmAttribution(
+        total_node_hours=total,
+        covered_node_hours=covered,
+        gemm_node_hours=gemm,
+        total_jobs=n_jobs,
+        gemm_jobs=n_gemm,
+    )
+
+
+class TestColumnarYear:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        jobs=st.one_of(st.integers(0, 12), st.integers(13, 3000)),
+    )
+    @example(seed=0, jobs=0)
+    @example(seed=0, jobs=1)
+    def test_attribution_matches_per_record_loop(self, seed, jobs):
+        year = generate_k_year.uncached(jobs=jobs, seed=seed)
+        # Exact equality on every field, floats included.
+        assert attribute_gemm_node_hours(year) == \
+            _reference_attribution(year.jobs)
+
+    def test_default_year_matches_per_record_loop(self, year, attribution):
+        assert attribution == _reference_attribution(year.jobs)
+
+    def test_record_stream_is_pinned(self, year):
+        # SHA-256 of the default population's records; a generator change
+        # that moves any record, name or float bit changes it.
+        h = hashlib.sha256()
+        for j in year.jobs:
+            syms = "" if j.symbols is None else ",".join(sorted(j.symbols.symbols))
+            h.update(
+                f"{j.job_id}|{j.app_name}|{j.domain}|{j.node_hours.hex()}"
+                f"|{syms}\n".encode()
+            )
+        assert h.hexdigest() == (
+            "c186b575348b171f74a703ed66b23f4f56eb240a099146f1ca27d951b5ec41b2"
+        )
+
+    def test_at_most_eleven_distinct_tables(self, year):
+        assert len(year.tables) <= 11
+        assert len(set(year.tables)) == len(year.tables)
+
+    def test_pickle_ships_columns_only(self):
+        year = generate_k_year.uncached()
+        assert len(year.jobs) == 20_000  # materialise the records first
+        blob = pickle.dumps(year)
+        assert len(blob) < 600_000
+        shipped = pickle.loads(blob)
+        assert "jobs" not in shipped.__dict__
+        assert attribute_gemm_node_hours(shipped) == \
+            attribute_gemm_node_hours(year)
+
+    def test_total_node_hours_builds_no_records(self):
+        year = generate_k_year.uncached(jobs=500)
+        assert year.total_node_hours == pytest.approx(543e6, rel=1e-6)
+        assert "jobs" not in year.__dict__

@@ -77,7 +77,7 @@ class TestChromeTrace:
 class TestEnergySavings:
     @pytest.fixture(scope="class")
     def attribution(self):
-        return attribute_gemm_node_hours(generate_k_year(jobs=8000).jobs)
+        return attribute_gemm_node_hours(generate_k_year(jobs=8000))
 
     def test_savings_magnitudes(self, attribution):
         e = estimate_energy_savings(attribution)

@@ -1,5 +1,7 @@
 """Tests for the Spack dependency substrate (Table III)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,20 @@ class TestGenerator:
     def test_too_small_total_rejected(self):
         with pytest.raises(GraphError):
             generate_spack_index(total=100)
+
+    def test_default_graph_is_pinned(self, index):
+        # SHA-256 of the default index; a generator change that moves any
+        # package, edge, language or provider flag changes it.
+        h = hashlib.sha256()
+        for name in sorted(index.packages):
+            p = index.packages[name]
+            h.update(
+                f"{p.name}|{','.join(p.depends_on)}|{p.language}"
+                f"|{p.provides_blas}\n".encode()
+            )
+        assert h.hexdigest() == (
+            "44cd043e54d68eaae9e13ae95dcd66fde8b8614ce82fc9272cae836e396382fa"
+        )
 
 
 class TestDistanceProperties:
