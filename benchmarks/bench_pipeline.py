@@ -1,5 +1,5 @@
 """Benchmark the artefact pipeline: cold vs warm cache, serial vs
-parallel fan-out.
+forked substrate prefetch.
 
 The cold benchmarks clear the substrate cache before every round so
 they price a full regeneration; the warm benchmark prices the steady

@@ -5,8 +5,8 @@ prints each artefact in the paper's own layout; the individual
 generators return structured rows so the benchmark suite and
 EXPERIMENTS.md can assert on them.  :mod:`repro.harness.pipeline` runs
 the artefacts as a substrate-aware DAG — shared inputs are computed
-once into :mod:`repro.harness.cache` and independent artefacts fan out
-across worker threads.
+once into :mod:`repro.harness.cache` (prefetched in forked processes
+when ``jobs > 1``), then the artefacts run in order.
 
 Like every façade here, exports resolve lazily (PEP 562), so low-level
 packages (``repro.joblog``, ``repro.ozaki``, ...) can import the leaf

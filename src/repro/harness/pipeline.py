@@ -1,4 +1,4 @@
-"""DAG-aware, parallel, memoized, *fault-isolated* artefact pipeline.
+"""DAG-aware, memoized, *fault-isolated* artefact pipeline.
 
 The paper's evidence is 13 regenerable artefacts.  Most of them sit on
 a small set of shared *substrates* — the seeded K-computer year, the
@@ -9,10 +9,12 @@ module makes that structure explicit:
 
 * every artefact declares which substrates it consumes
   (:data:`ARTIFACT_SUBSTRATES`);
-* :func:`run_pipeline` warms the substrates once — cold builders fan
-  out across ``jobs`` forked worker processes (threads where fork is
-  unavailable) and are primed into the parent's cache — then runs the
-  independent artefact generators on a thread pool;
+* :func:`run_pipeline` warms the substrates once, then runs the
+  artefact generators in selection order, all in the calling thread.
+  On a multi-CPU host with ``jobs > 1`` and no fault plan armed, the
+  cold substrate builders are first prefetched in up to ``jobs``
+  forked worker processes; whatever they do not deliver is built
+  in-process;
 * each run produces a ``manifest`` recording per-substrate and
   per-artefact wall time, status and retry count, the governing RNG
   seed, the SHA-256 of the rendered text, and the cache hit/miss
@@ -33,11 +35,10 @@ artefact (plus anything depending on a failed substrate) is recorded as
 completes.  ``repro-paper --resume DIR`` re-runs just the failures.
 Fault injection for chaos testing rides in via
 :func:`repro.resilience.fault_context` (or the explicit ``fault_plan``
-argument): the parent consults sites ``substrate:<name>`` and
-``artifact:<name>`` with one shared injector — so count-based rules are
-exact whatever the fan-out — while pool workers install the plan for
-the deeper ``cache:*`` sites; a ``kill`` rule hard-exits the worker
-process, exercising the broken-pool → thread-fallback recovery.
+argument).  An armed plan turns the prefetch off, so every site —
+``substrate:<name>``, ``artifact:<name>`` and the deeper ``cache:*``
+lookups — fires in one injector, and the manifest is the same for
+every ``jobs``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -145,29 +146,20 @@ def _workload_profiles_factory() -> Callable[..., Any]:
 
 
 def _compute_substrate(
-    substrate: str,
-    scenario: ScenarioSpec,
-    plan: FaultPlan | None = None,
-    die: bool = False,
+    substrate: str, scenario: ScenarioSpec
 ) -> tuple[Any, float]:
     """Build one substrate's default entry; runs in a worker process.
 
-    The scenario — and any fault plan — is passed explicitly
-    (contextvars do not survive the trip into a pool worker), so seed
-    overrides, overlay catalogues and ``cache:*`` fault sites apply in
-    the child exactly as in the parent.  ``die`` is the parent
-    forwarding a ``kill`` fault rule: the child hard-exits, breaking
-    the pool, and the parent's thread fallback recovers.  Returns the
-    value plus the child-side wall time, so the manifest records each
+    The scenario is passed explicitly (contextvars do not survive the
+    trip into a pool worker), so seed overrides and overlay catalogues
+    apply in the child exactly as in the parent.  Returns the value
+    plus the child-side wall time, so the manifest records each
     substrate's own compute cost rather than the parent's
     wait-for-result time.
     """
-    if die:  # pragma: no cover - exercised via the chaos suite
-        os._exit(3)
     t0 = time.perf_counter()
-    with fault_context(plan):
-        with scenario_context(scenario):
-            value = SUBSTRATES[substrate].builder()()
+    with scenario_context(scenario):
+        value = SUBSTRATES[substrate].builder()()
     return value, time.perf_counter() - t0
 
 
@@ -267,72 +259,33 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _warm_in_parallel(
-    cold: list[str],
-    jobs: int,
-    substrate_meta: dict[str, dict],
-    scenario: ScenarioSpec,
-    injector: FaultInjector | None,
-) -> list[str]:
-    """Compute cold substrates in worker processes; prime the local cache.
+def _prefetch(
+    cold: list[str], jobs: int, scenario: ScenarioSpec
+) -> dict[str, tuple[Any, float]]:
+    """Build cold substrates in forked worker processes.
 
-    Worker *processes* beat the GIL for the CPU-bound builders.  The
-    scenario (and fault plan) rides into every worker explicitly:
-    neither a forked pool's task thread nor a thread-pool worker
-    inherits the caller's contextvars.  Substrate-site fault rules are
-    consulted *in the parent* against the one shared injector — an
-    injected error, a dead worker (``kill``), or any child-side failure
-    leaves that substrate in the returned list, which the caller warms
-    again under retry.  Substrates warmed cleanly are primed and
-    recorded; the return value is whatever still needs warming.
+    Worker *processes* beat the GIL for the CPU-bound builders.  Returns
+    ``{substrate: (value, child_seconds)}`` for the builds that
+    succeeded.  A failed build, or every build once fork is denied or a
+    worker dies, is simply missing, and the caller builds it in-process.
     """
-    workers = min(jobs, len(cold))
-    plan = injector.plan if injector is not None else None
-    remaining: list[str] = []
+    built: dict[str, tuple[Any, float]] = {}
     ctx = multiprocessing.get_context("fork")
     try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = {}
-            for substrate in cold:
-                die = False
-                if injector is not None:
-                    try:
-                        die = (
-                            injector.fire(
-                                f"substrate:{substrate}", allow_kill=True
-                            )
-                            == "kill"
-                        )
-                    except Exception:
-                        # Injected build error: attempt #1 failed, the
-                        # retrying warm path recovers it.
-                        remaining.append(substrate)
-                        continue
-                futures[substrate] = pool.submit(
-                    _compute_substrate, substrate, scenario, plan, die
-                )
-            with scenario_context(scenario):
-                for substrate, future in futures.items():
-                    try:
-                        value, elapsed = future.result()
-                    except (OSError, BrokenProcessPool):
-                        raise  # the pool itself died; recover below
-                    except Exception:
-                        remaining.append(substrate)
-                        continue
-                    SUBSTRATES[substrate].builder().prime(value)
-                    substrate_meta[substrate] = {
-                        "wall_time_s": elapsed,
-                        "seed": _effective_seed(substrate, scenario),
-                        "cached": False,
-                        "status": "ok",
-                        "retries": 0,
-                    }
-        return remaining
-    except (OSError, BrokenProcessPool):  # pragma: no cover - chaos path
-        # fork denied or a worker died — every substrate not yet primed
-        # falls back to the retrying (threaded) warm path.
-        return [s for s in cold if s not in substrate_meta]
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(cold)), mp_context=ctx
+        ) as pool:
+            futures = {
+                s: pool.submit(_compute_substrate, s, scenario) for s in cold
+            }
+            for substrate, future in futures.items():
+                try:
+                    built[substrate] = future.result()
+                except Exception:
+                    continue
+    except (OSError, BrokenProcessPool):
+        pass
+    return built
 
 
 @dataclass
@@ -374,10 +327,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Regenerate the selected artefacts (all by default).
 
-    ``jobs`` is the fan-out width for both phases: cold substrates are
-    built in up to ``jobs`` worker processes, artefact generators run
-    on up to ``jobs`` threads.  ``jobs=1`` runs everything in the
-    calling thread.  ``scenario`` overlays the run (default: whatever
+    Substrates are warmed and artefacts generated in the calling
+    thread, in order.  ``jobs`` bounds the forked worker processes that
+    prefetch cold substrates on a multi-CPU host; ``jobs=1`` forks
+    nothing.  ``scenario`` overlays the run (default: whatever
     :func:`repro.scenario.scenario_context` has installed, else the
     baseline); the manifest records its label, fingerprint and full
     canonical spec.  ``fault_plan`` installs a chaos experiment
@@ -405,12 +358,6 @@ def run_pipeline(
     functions = _artifact_functions()
     t_start = time.perf_counter()
 
-    # Phase 1: warm every substrate the selection needs, exactly once.
-    # Substrate builders are CPU-bound Python, so with jobs > 1 the cold
-    # ones are computed in *forked worker processes* (sidestepping the
-    # GIL) and primed into this process's cache; platforms without fork
-    # fall back to in-process threads, which still overlap the NumPy
-    # portions.
     needed = [
         s for s in SUBSTRATES
         if any(s in ARTIFACT_SUBSTRATES.get(n, ()) for n in selected)
@@ -418,27 +365,31 @@ def run_pipeline(
     substrate_meta: dict[str, dict] = {}
     failed_substrates: dict[str, str] = {}
 
-    def warm(substrate: str) -> None:
-        """Warm one substrate in-process, under retry, recording meta."""
-        cached = substrate in SUBSTRATE_CACHE
+    def warm(substrate: str, prefetched: tuple[Any, float] | None) -> None:
+        """Prime a prefetched substrate, or build it under retry; either
+        way record its manifest entry."""
+        meta = {
+            "wall_time_s": 0.0,
+            "seed": _effective_seed(substrate, spec),
+            "cached": substrate in SUBSTRATE_CACHE,
+        }
+        if prefetched is not None:
+            value, meta["wall_time_s"] = prefetched
+            SUBSTRATES[substrate].builder().prime(value)
+            meta.update(status="ok", retries=0)
+            substrate_meta[substrate] = meta
+            return
         t0 = time.perf_counter()
 
         def attempt() -> Any:
-            with fault_context(injector):
-                if injector is not None:
-                    injector.fire(f"substrate:{substrate}")
-                with scenario_context(spec):
-                    return SUBSTRATES[substrate].builder()()
+            if injector is not None:
+                injector.fire(f"substrate:{substrate}")
+            return SUBSTRATES[substrate].builder()()
 
         def on_retry(_attempt: int, _exc: BaseException) -> None:
             # Never trust a half-built value: recompute from scratch.
             SUBSTRATE_CACHE.invalidate(substrate)
 
-        meta = {
-            "wall_time_s": 0.0,
-            "seed": _effective_seed(substrate, spec),
-            "cached": cached,
-        }
         try:
             _, retries = retry_call(
                 attempt,
@@ -460,34 +411,6 @@ def run_pipeline(
         meta["wall_time_s"] = time.perf_counter() - t0
         substrate_meta[substrate] = meta
 
-    cold = [s for s in needed if s not in SUBSTRATE_CACHE]
-    for substrate in needed:
-        if substrate not in cold:  # record the hit; costs a dict lookup
-            warm(substrate)
-    if cold:
-        remaining = cold
-        if (
-            jobs > 1
-            and len(cold) > 1
-            and _cpu_capacity() > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            remaining = _warm_in_parallel(
-                cold, jobs, substrate_meta, spec, injector
-            )
-        if jobs == 1 or len(remaining) <= 1:
-            for substrate in remaining:
-                warm(substrate)
-        elif remaining:
-            with ThreadPoolExecutor(
-                max_workers=min(jobs, len(remaining)),
-                thread_name_prefix="repro-substrate",
-            ) as pool:
-                list(pool.map(warm, remaining))
-
-    # Phase 2: fan the (now independent) artefact generators out.  Each
-    # generator thread re-installs the scenario (and injector) itself —
-    # pool threads never inherit the submitting thread's contextvars.
     timings: dict[str, float] = {}
     artifact_meta: dict[str, dict] = {}
     failures: dict[str, str] = {}
@@ -511,11 +434,9 @@ def run_pipeline(
         t0 = time.perf_counter()
 
         def attempt() -> dict:
-            with fault_context(injector):
-                if injector is not None:
-                    injector.fire(f"artifact:{name}")
-                with scenario_context(spec):
-                    return functions[name]()
+            if injector is not None:
+                injector.fire(f"artifact:{name}")
+            return functions[name]()
 
         try:
             result, retries = retry_call(
@@ -537,15 +458,23 @@ def run_pipeline(
         artifact_meta[name] = {"status": "ok", "retries": retries}
         return result
 
-    if jobs == 1 or len(selected) <= 1:
+    with fault_context(injector), scenario_context(spec):
+        # Phase 1: warm every substrate the selection needs, exactly once.
+        cold = [s for s in needed if s not in SUBSTRATE_CACHE]
+        prefetched: dict[str, tuple[Any, float]] = {}
+        if (
+            jobs > 1
+            and _cpu_capacity() > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and len(cold) > 1
+            and injector is None
+        ):
+            prefetched = _prefetch(cold, jobs, spec)
+        for substrate in needed:
+            warm(substrate, prefetched.get(substrate))
+
+        # Phase 2: the artefact generators, in selection order.
         raw = {name: generate(name) for name in selected}
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(jobs, len(selected)),
-            thread_name_prefix="repro-artifact",
-        ) as pool:
-            futures = {name: pool.submit(generate, name) for name in selected}
-            raw = {name: futures[name].result() for name in selected}
     results = {name: r for name, r in raw.items() if r is not None}
 
     stats = SUBSTRATE_CACHE.stats()

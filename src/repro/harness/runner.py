@@ -106,10 +106,10 @@ def run_all(
 ) -> dict[str, dict]:
     """Regenerate the selected artefacts (all by default).
 
-    ``jobs`` fans independent artefacts out across worker threads after
-    the shared substrates have been warmed once (see
-    :mod:`repro.harness.pipeline`); the results are identical whatever
-    its value.  ``scenario`` (a :class:`repro.scenario.ScenarioSpec`)
+    The shared substrates are warmed once, then the artefacts run in
+    order; ``jobs`` bounds the forked processes that prefetch cold
+    substrates (see :mod:`repro.harness.pipeline`).  The results are
+    identical whatever its value.  ``scenario`` (a :class:`repro.scenario.ScenarioSpec`)
     overlays the run; ``fault_plan`` (a
     :class:`repro.resilience.FaultPlan`) injects chaos.  Raises
     :class:`ValueError` for an unknown artefact name — the CLI
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--output", metavar="DIR",
         help="write text/JSON/CSV files plus manifest.json")
     add("--jobs", type=_jobs, metavar="N",
-        help="parallel workers for the artefact pipeline (default 1)")
+        help="forked processes that prefetch cold substrates (default 1)")
     add("--scenario", metavar="FILE", help="run under a what-if overlay")
     add("--fault-plan", metavar="FILE", help="inject a chaos experiment")
     add("--resume", metavar="DIR", help="re-run the failed/torn/corrupt "

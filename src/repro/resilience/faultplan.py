@@ -6,7 +6,7 @@ call sites fail, how often, and how* — specified as data exactly like a
 a canonical SHA-256 fingerprint over its semantic content.  The sites
 are stable strings the instrumented layers publish:
 
-* ``substrate:<name>``  — a pipeline substrate build (parent or worker),
+* ``substrate:<name>``  — a pipeline substrate build,
 * ``artifact:<name>``   — one artefact generator invocation,
 * ``handler:<kind>``    — one serve handler evaluation (scalar or batch),
 * ``cache:<substrate>`` — a substrate-cache lookup (``evict`` rules
@@ -68,7 +68,7 @@ __all__ = [
 
 #: What a firing rule does at its site.
 _KINDS = (
-    "error", "latency", "evict", "kill",
+    "error", "latency", "evict",
     "torn-write", "bit-flip", "fsync-error",
     "flip", "wrong-answer",
 )
@@ -99,8 +99,6 @@ class FaultRule:
     * ``"latency"`` — sleep ``latency_s`` then proceed normally,
     * ``"evict"``   — ask the substrate cache to drop the entry first
       (only meaningful at ``cache:*`` sites; elsewhere it is a no-op),
-    * ``"kill"``    — hard-exit the process (pipeline pool workers only;
-      sites that cannot tolerate process death degrade it to ``error``),
     * ``"torn-write"`` / ``"bit-flip"`` / ``"fsync-error"`` — durable-
       store failures, implemented by the ``store:*`` sites (a torn write
       SIGKILLs the process mid-write; elsewhere they are no-ops),
@@ -327,15 +325,12 @@ class FaultInjector:
             )
         return rng
 
-    def fire(self, site: str, *, allow_kill: bool = False) -> str | None:
+    def fire(self, site: str) -> str | None:
         """Consult the plan at ``site``; the caller's contract:
 
         * returns ``None`` — proceed normally,
-        * returns ``"evict"`` — drop the cache entry, then proceed,
-        * returns ``"kill"`` — only with ``allow_kill=True``: the caller
-          owns a process it may hard-kill (a pipeline pool worker);
-          sites that cannot tolerate process death leave the default and
-          get a :class:`FaultInjected` instead,
+        * returns a site kind (``"evict"``, ``"torn-write"``, ...) — the
+          site implements that failure (see :data:`_SITE_KINDS`),
         * raises :class:`FaultInjected` — the injected failure.
         """
         matched = None
@@ -362,8 +357,6 @@ class FaultInjector:
             return None
         if matched.kind in _SITE_KINDS:
             return matched.kind
-        if matched.kind == "kill" and allow_kill:
-            return "kill"
         raise FaultInjected(
             f"{matched.message} [site={site}]", site=site
         )
@@ -407,7 +400,7 @@ def fault_context(
         _current.reset(token)
 
 
-def fault_point(site: str, *, allow_kill: bool = False) -> str | None:
+def fault_point(site: str) -> str | None:
     """The injection hook instrumented code calls at a named site.
 
     With no injector installed this is one contextvar read; otherwise it
@@ -416,4 +409,4 @@ def fault_point(site: str, *, allow_kill: bool = False) -> str | None:
     injector = _current.get()
     if injector is None:
         return None
-    return injector.fire(site, allow_kill=allow_kill)
+    return injector.fire(site)

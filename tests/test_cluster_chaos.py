@@ -23,8 +23,9 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SnapshotError
 from repro.serve import HttpServeClient
+from repro.serve.snapshot import load_snapshot
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -60,6 +61,14 @@ def _start_cluster(args, timeout_s=120):
         proc.kill()
         raise AssertionError("cluster never came up:\n" + "".join(head))
     return proc, url, head
+
+
+def _snapshot_entries(path):
+    """Entries a shard's snapshot file holds (0 before its first flush)."""
+    try:
+        return len(load_snapshot(path).entries)
+    except SnapshotError:
+        return 0
 
 
 def _shards(url):
@@ -108,8 +117,14 @@ class TestClusterChaos:
             for t in threads:
                 t.start()
 
-            # Warm-up traffic so shard 0 has periodic snapshot state.
-            time.sleep(1.5)
+            # Warm-up traffic until shard 0 has flushed a periodic
+            # snapshot holding at least one entry.
+            deadline = time.monotonic() + 30
+            while _snapshot_entries(snapdir / "shard-0.json") < 1:
+                assert time.monotonic() < deadline, (
+                    "shard 0 never flushed a snapshot with entries"
+                )
+                time.sleep(0.05)
             before = _shards(url)
             victim = before["0"]
             assert victim["state"] == "up"

@@ -1,6 +1,7 @@
 """Pipeline tests: substrate cache semantics, parallel determinism, and
 the run manifest."""
 
+import os
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from repro.harness.pipeline import (
     artifact_names,
     run_pipeline,
 )
+from repro.resilience import FaultPlan, FaultRule
 
 
 class TestFreeze:
@@ -234,6 +236,11 @@ class TestRunPipeline:
         assert {"hits", "misses", "entries", "evictions"} <= set(m["cache"])
 
 
+def _die_in_child(substrate, scenario):
+    """A forked substrate builder that kills its worker process."""
+    os._exit(3)
+
+
 class TestProcessWarming:
     def test_forked_warm_path_primes_cache_and_stays_deterministic(
         self, monkeypatch
@@ -256,6 +263,60 @@ class TestProcessWarming:
             assert serial.results[name]["text"] == forked.results[name]["text"]
         assert not forked.manifest["substrates"]["k_year"]["cached"]
         SUBSTRATE_CACHE.clear()
+
+    def test_fault_plan_manifest_is_the_same_for_every_jobs(
+        self, monkeypatch
+    ):
+        """An armed plan fires every rule in the one injector: the
+        injected k_year failure is retried and recorded, and the cache
+        sites are counted, exactly as in a serial run."""
+        from repro.harness import pipeline
+
+        plan = FaultPlan(rules=(FaultRule(site="substrate:k_year"),))
+
+        def provenance(jobs):
+            SUBSTRATE_CACHE.clear()
+            m = run_pipeline(
+                ["sec3a", "table3"], jobs=jobs, fault_plan=plan
+            ).manifest
+            substrates = {
+                name: {k: entry[k] for k in ("retries", "status", "cached")}
+                for name, entry in m["substrates"].items()
+            }
+            return substrates, m["fault_plan"]["seen"], m["fault_plan"]["injected"]
+
+        serial = provenance(1)
+        monkeypatch.setattr(pipeline, "_cpu_capacity", lambda: 8)
+        forked = provenance(2)
+        SUBSTRATE_CACHE.clear()
+        assert serial[0]["k_year"]["retries"] == 1
+        assert serial[1]["cache:spack_index"] == 2
+        assert forked == serial
+
+    def test_dead_worker_falls_back_to_in_process_builds(self, monkeypatch):
+        """A worker that dies breaks the pool; every substrate is then
+        built in-process and the run completes unchanged."""
+        import multiprocessing
+
+        from repro.harness import pipeline
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        SUBSTRATE_CACHE.clear()
+        serial = run_pipeline(["sec3a", "table8"], jobs=1)
+        SUBSTRATE_CACHE.clear()
+        monkeypatch.setattr(pipeline, "_cpu_capacity", lambda: 8)
+        monkeypatch.setattr(pipeline, "_compute_substrate", _die_in_child)
+        broken = run_pipeline(["sec3a", "table8"], jobs=2)
+        SUBSTRATE_CACHE.clear()
+        assert broken.manifest["status"] == "ok"
+        for name in ("k_year", "ozaki_splits"):
+            entry = broken.manifest["substrates"][name]
+            assert (entry["status"], entry["cached"], entry["retries"]) == (
+                "ok", False, 0,
+            )
+        for name in serial.results:
+            assert serial.results[name]["text"] == broken.results[name]["text"]
 
     def test_prime_counts_as_miss_and_respects_existing(self):
         cache = SubstrateCache()

@@ -45,6 +45,12 @@ class TestFaultRuleValidation:
         with pytest.raises(FaultPlanError, match="kind"):
             FaultRule(site="x", kind="explode")
 
+    def test_kill_kind_is_rejected(self):
+        with pytest.raises(FaultPlanError, match="'kill'"):
+            fault_plan_from_dict(
+                {"rules": [{"site": "substrate:k_year", "kind": "kill"}]}
+            )
+
     def test_times_below_one(self):
         with pytest.raises(FaultPlanError, match="times"):
             FaultRule(site="x", times=0)
@@ -104,7 +110,7 @@ class TestFaultPlanFingerprint:
 #: kept literal so adding a kind to ``_KINDS`` without property
 #: coverage fails here.
 ALL_KINDS = (
-    "error", "latency", "evict", "kill",
+    "error", "latency", "evict",
     "torn-write", "bit-flip", "fsync-error",
     "flip", "wrong-answer",
 )
@@ -284,13 +290,6 @@ class TestFaultInjector:
     def test_evict_rule_returns_marker(self):
         plan = FaultPlan(rules=(FaultRule(site="cache:x", kind="evict"),))
         assert FaultInjector(plan).fire("cache:x") == "evict"
-
-    def test_kill_needs_explicit_opt_in(self):
-        plan = FaultPlan(rules=(FaultRule(site="s", kind="kill", times=2),))
-        inj = FaultInjector(plan)
-        with pytest.raises(FaultInjected):  # degraded to error
-            inj.fire("s")
-        assert inj.fire("s", allow_kill=True) == "kill"
 
     def test_fault_injected_carries_site(self):
         plan = FaultPlan(rules=(FaultRule(site="s"),))
