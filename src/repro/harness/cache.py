@@ -175,9 +175,12 @@ class SubstrateCache:
             if full_key not in self._values:
                 self._insert(full_key, value)
 
-    def __contains__(self, substrate: str) -> bool:
+    def holds(self, substrate: str, key: Any = ()) -> bool:
+        """Whether ``(substrate, key)`` is resident.  A peek: it counts
+        no hit or miss and leaves the LRU order alone."""
+        full_key = (substrate, freeze(key))
         with self._mutex:
-            return any(k[0] == substrate for k in self._values)
+            return full_key in self._values
 
     def __len__(self) -> int:
         with self._mutex:
@@ -289,9 +292,17 @@ def memoize_substrate(
             target = cache if cache is not None else SUBSTRATE_CACHE
             target.prime(substrate, key, value)
 
+        def resident(*args: Any, **kwargs: Any) -> bool:
+            """Whether the call's cache entry is held, under the active
+            scenario."""
+            key, _ = _bind(args, kwargs)
+            target = cache if cache is not None else SUBSTRATE_CACHE
+            return target.holds(substrate, key)
+
         wrapper.substrate = substrate
         wrapper.uncached = fn
         wrapper.prime = prime
+        wrapper.resident = resident
         return wrapper
 
     return decorate

@@ -365,13 +365,15 @@ def run_pipeline(
     substrate_meta: dict[str, dict] = {}
     failed_substrates: dict[str, str] = {}
 
-    def warm(substrate: str, prefetched: tuple[Any, float] | None) -> None:
+    def warm(
+        substrate: str, cached: bool, prefetched: tuple[Any, float] | None
+    ) -> None:
         """Prime a prefetched substrate, or build it under retry; either
         way record its manifest entry."""
         meta = {
             "wall_time_s": 0.0,
             "seed": _effective_seed(substrate, spec),
-            "cached": substrate in SUBSTRATE_CACHE,
+            "cached": cached,
         }
         if prefetched is not None:
             value, meta["wall_time_s"] = prefetched
@@ -460,7 +462,9 @@ def run_pipeline(
 
     with fault_context(injector), scenario_context(spec):
         # Phase 1: warm every substrate the selection needs, exactly once.
-        cold = [s for s in needed if s not in SUBSTRATE_CACHE]
+        # Residency is asked of the key the default call has under the
+        # active scenario, so an overlay never counts a baseline entry.
+        cold = [s for s in needed if not SUBSTRATES[s].builder().resident()]
         prefetched: dict[str, tuple[Any, float]] = {}
         if (
             jobs > 1
@@ -471,7 +475,7 @@ def run_pipeline(
         ):
             prefetched = _prefetch(cold, jobs, spec)
         for substrate in needed:
-            warm(substrate, prefetched.get(substrate))
+            warm(substrate, substrate not in cold, prefetched.get(substrate))
 
         # Phase 2: the artefact generators, in selection order.
         raw = {name: generate(name) for name in selected}

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.draws import Draws
 from repro.harness.cache import memoize_substrate
 from repro.joblog.records import JobRecord, SymbolTable
 
@@ -168,21 +169,22 @@ def generate_k_year(
 
     # One draw sequence per job, in job order: a covered, linked job
     # draws its GEMM symbol count and then the symbols; every job draws
-    # its application number.
-    integers, choice = rng.integers, rng.choice
+    # its application number.  The reader takes the stream over from
+    # here; ``rng`` draws nothing more.
+    draws = Draws(rng)
+    integers, choice = draws.integers, draws.choice
     table_of: dict[frozenset[int], int] = {}
     table_id: list[int] = []
     app_id: list[int] = []
     for is_covered, is_linked in zip(covered.tolist(), linked.tolist()):
         if is_covered:
             gemm = frozenset(
-                choice(len(_GEMM_SYMBOLS), size=int(integers(1, 3)),
-                       replace=False).tolist()
+                choice(len(_GEMM_SYMBOLS), integers(1, 3))
             ) if is_linked else frozenset()
             table_id.append(table_of.setdefault(gemm, len(table_of)))
         else:
             table_id.append(-1)
-        app_id.append(int(integers(0, 400)))
+        app_id.append(integers(0, 400))
     tables = tuple(
         SymbolTable(frozenset(_BASE_SYMBOLS).union(
             _GEMM_SYMBOLS[k] for k in gemm

@@ -296,9 +296,10 @@ class ScenarioSpec:
         """Canonical SHA-256 over the semantic content (labels excluded)."""
         return scenario_fingerprint(self)
 
-    @property
+    @cached_property
     def is_empty(self) -> bool:
-        """True when the spec changes nothing (pure baseline)."""
+        """True when the spec changes nothing (pure baseline).  Cached
+        like the fingerprint: every memoized substrate lookup asks."""
         return not (
             self.devices
             or self.workloads

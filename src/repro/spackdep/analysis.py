@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.spackdep.graph import DependencyGraph
 
 __all__ = ["DistanceTable", "dependency_distances"]
@@ -47,6 +45,8 @@ class DistanceTable:
 
 def dependency_distances(graph: DependencyGraph) -> DistanceTable:
     """Multi-source BFS from the BLAS providers along reversed edges."""
+    import networkx as nx  # ~0.1 s to import; only Table III needs it
+
     sources = list(graph.blas_providers)
     rev = graph.dependents_view()
     lengths = nx.multi_source_dijkstra_path_length(rev, sources, weight=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.draws import Draws
 from repro.errors import GraphError
 from repro.harness.cache import memoize_substrate
 from repro.spackdep.graph import DependencyGraph, Package
@@ -65,7 +66,8 @@ def generate_spack_index(
     """
     if total < sum(_SHELL_SIZES) + len(BLAS_PROVIDERS) + 2:
         raise GraphError(f"total={total} too small for the shell structure")
-    rng = np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed))
+    random, integers, choice = draws.random, draws.integers, draws.choice
     packages: dict[str, Package] = {}
 
     for name in BLAS_PROVIDERS:
@@ -76,7 +78,7 @@ def generate_spack_index(
     packages["r-base"] = Package("r-base")
 
     def _new_name(idx: int, sub_p: float) -> tuple[str, str | None]:
-        r = rng.random()
+        r = random()
         if r < sub_p * 0.78:
             return f"py-pkg{idx:04d}", "py"
         if r < sub_p:
@@ -93,14 +95,12 @@ def generate_spack_index(
             idx += 1
             # Depend on 1-3 packages of the previous shell, which pins the
             # BFS distance; sibling links within the shell are harmless.
-            n_deps = int(rng.integers(1, 4))
+            n_deps = integers(1, 4)
             deps = {
-                prev[k] for k in rng.choice(
-                    len(prev), size=min(n_deps, len(prev)), replace=False
-                ).tolist()
+                prev[k] for k in choice(len(prev), min(n_deps, len(prev)))
             }
-            if shell and rng.random() < 0.25:
-                deps.add(shell[rng.choice(len(shell))])
+            if shell and random() < 0.25:
+                deps.add(shell[integers(0, len(shell))])
             if lang == "py":
                 deps.add("python")
             elif lang == "r":
@@ -117,13 +117,11 @@ def generate_spack_index(
         name, lang = _new_name(idx, _SUB_P_INDEPENDENT)
         idx += 1
         deps: set[str] = set()
-        if independent and rng.random() < 0.5:
-            k = int(rng.integers(1, 3))
+        if independent and random() < 0.5:
+            k = integers(1, 3)
             deps.update(
-                independent[j] for j in rng.choice(
-                    len(independent), size=min(k, len(independent)),
-                    replace=False,
-                ).tolist()
+                independent[j]
+                for j in choice(len(independent), min(k, len(independent)))
             )
         if lang == "py":
             deps.add("python")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Package", "DependencyGraph"]
 
@@ -41,6 +43,8 @@ class DependencyGraph:
     """A validated package index with dependency edges ``pkg -> dep``."""
 
     def __init__(self, packages: dict[str, Package]) -> None:
+        import networkx as nx  # ~0.1 s to import; only an index needs it
+
         self.packages = dict(packages)
         g = nx.DiGraph()
         g.add_nodes_from(self.packages)

@@ -74,6 +74,16 @@ def test_boot_path_loads_no_heavy_module():
     assert loaded == {step: [] for step in steps}
 
 
+def test_paper_front_end_loads_neither_networkx_nor_scipy():
+    # A cold repro-paper pays networkx's import only when it builds the
+    # Spack index, never at start-up.
+    assert _run("""
+        import json, sys
+        import repro.harness.runner
+        print(json.dumps([m for m in ("networkx", "scipy") if m in sys.modules]))
+    """) == []
+
+
 @pytest.mark.parametrize("module", [
     "repro.cluster.protocol", "repro.cluster.router",
     "repro.cluster.supervisor",

@@ -19,6 +19,7 @@ from repro.harness.pipeline import (
     run_pipeline,
 )
 from repro.resilience import FaultPlan, FaultRule
+from repro.scenario import ScenarioSpec, scenario_context
 
 
 class TestFreeze:
@@ -56,7 +57,8 @@ class TestSubstrateCache:
         cache.get_or_compute("s", lambda: "b", key=(2,))
         assert len(cache) == 2
         assert cache.substrates() == ("s",)
-        assert "s" in cache and "t" not in cache
+        assert cache.holds("s", (1,)) and not cache.holds("s", (3,))
+        assert not cache.holds("t", (1,))
 
     def test_clear_resets_counters(self):
         cache = SubstrateCache()
@@ -186,7 +188,7 @@ class TestPipelineRegistry:
     def test_builders_populate_their_substrate(self):
         SUBSTRATE_CACHE.clear()
         SUBSTRATES["k_year"].builder()()  # builder() returns the factory
-        assert "k_year" in SUBSTRATE_CACHE
+        assert SUBSTRATE_CACHE.substrates() == ("k_year",)
         SUBSTRATE_CACHE.clear()
 
 
@@ -258,7 +260,7 @@ class TestProcessWarming:
         SUBSTRATE_CACHE.clear()
         monkeypatch.setattr(pipeline, "_cpu_capacity", lambda: 8)
         forked = run_pipeline(["sec3a", "table8"], jobs=2)
-        assert "k_year" in SUBSTRATE_CACHE and "ozaki_splits" in SUBSTRATE_CACHE
+        assert SUBSTRATE_CACHE.substrates() == ("k_year", "ozaki_splits")
         for name in serial.results:
             assert serial.results[name]["text"] == forked.results[name]["text"]
         assert not forked.manifest["substrates"]["k_year"]["cached"]
@@ -329,6 +331,60 @@ class TestProcessWarming:
         assert cache.get_or_compute("s", lambda: None, key=(1,)) == (
             "computed-elsewhere"
         )
+
+
+class TestScenarioResidency:
+    """Residency is asked per cache key: a baseline entry does not make
+    an overlay's substrate warm."""
+
+    OVERLAY = ScenarioSpec(name="reseed", substrate_seeds={"k_year": 7})
+
+    def test_resident_follows_the_active_scenario(self):
+        from repro.joblog import generate_k_year
+
+        SUBSTRATE_CACHE.clear()
+        generate_k_year()
+        assert generate_k_year.resident()
+        with scenario_context(self.OVERLAY):
+            assert not generate_k_year.resident()
+            generate_k_year()
+            assert generate_k_year.resident()
+        assert SUBSTRATE_CACHE.stats().hits == 0  # peeks count nothing
+        SUBSTRATE_CACHE.clear()
+
+    def test_overlay_run_records_its_build_as_uncached(self):
+        SUBSTRATE_CACHE.clear()
+        run_pipeline(["sec3a"])
+        misses = SUBSTRATE_CACHE.stats().misses
+        m = run_pipeline(["sec3a"], scenario=self.OVERLAY).manifest
+        SUBSTRATE_CACHE.clear()
+        assert m["substrates"]["k_year"]["cached"] is False
+        assert m["substrates"]["k_year"]["seed"] == 7
+        assert m["cache"]["misses"] == misses + 1
+
+    def test_cold_overlay_substrates_are_prefetched(self, monkeypatch):
+        import multiprocessing
+
+        from repro.harness import pipeline
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        handed: list[list[str]] = []
+
+        def record(cold, jobs, scenario):
+            handed.append(list(cold))
+            return {}  # build everything in-process
+
+        SUBSTRATE_CACHE.clear()
+        run_pipeline(["sec3a", "table3"])
+        monkeypatch.setattr(pipeline, "_cpu_capacity", lambda: 2)
+        monkeypatch.setattr(pipeline, "_prefetch", record)
+        m = run_pipeline(
+            ["sec3a", "table3"], jobs=2, scenario=self.OVERLAY
+        ).manifest
+        SUBSTRATE_CACHE.clear()
+        assert handed == [["k_year", "spack_index"]]
+        assert not any(e["cached"] for e in m["substrates"].values())
 
 
 class TestDeterminismUnderParallelism:
