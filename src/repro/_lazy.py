@@ -3,8 +3,8 @@
 Each package ``__init__`` names its public symbols once, in an
 ``_EXPORTS`` map from name to defining module, and imports nothing: a
 symbol's module loads on first attribute access, so a process pays only
-for the code it reaches (a serve worker never loads scipy, networkx or
-the DL, BLAS and power simulators).
+for the code it reaches (a serve worker never loads scipy or the DL,
+BLAS and power simulators).
 """
 
 import importlib

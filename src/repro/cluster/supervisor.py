@@ -118,8 +118,6 @@ class ClusterSupervisor:
         hedge: bool = True,
         hedge_ratio: float = 0.05,
         boot_timeout_s: float = 60.0,
-        verify_sample_rate: float = 0.125,
-        scrub_interval_s: float = 0.0,
         verbose: bool = False,
     ) -> None:
         if cluster_size < 1:
@@ -154,8 +152,6 @@ class ClusterSupervisor:
             "--cache-size", str(cache_size),
             "--timeout", str(timeout_s),
             "--drain-timeout", str(drain_timeout_s),
-            "--verify-sample-rate", str(verify_sample_rate),
-            "--scrub-interval", str(scrub_interval_s),
             "--snapshot-interval", str(snapshot_interval_s),
         ]
         for path in self.scenario_files:

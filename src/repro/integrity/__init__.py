@@ -24,8 +24,8 @@ previous one cannot:
 * **Checksummed result envelopes**
   (:class:`~repro.integrity.envelope.ResultEnvelope`) — every cached or
   snapshotted result carries a canonical SHA-256 of its payload,
-  verified on read (always for snapshot restores, sampled for hot cache
-  hits, continuously by the engine's background scrubber) and exposed
+  verified every time it leaves a cache (a hit, or a stale/degraded
+  answer) and once per entry when a snapshot is loaded, and exposed
   on the wire as ``X-Repro-Result-Digest`` so clients and the cluster
   router can re-verify.  Catches corruption *at rest and in transit* —
   the ``flip`` fault kind.

@@ -104,8 +104,8 @@ class FaultRule:
       SIGKILLs the process mid-write; elsewhere they are no-ops),
     * ``"flip"`` — silent in-memory payload corruption: the serve
       engine's ``cache:result`` site damages the cached envelope *past*
-      its stored checksum, so only verify-on-read / the scrubber can
-      catch it (elsewhere a no-op),
+      its stored checksum, so only verify-on-read can catch it
+      (elsewhere a no-op),
     * ``"wrong-answer"`` — a plausible-but-wrong numeric perturbation of
       a handler's answer *before* its checksum is computed, implemented
       by the ``handler:*`` sites; only the algebraic answer invariants

@@ -42,8 +42,9 @@ __all__ = ["ServeClient", "HttpServeClient", "verify_response_digest"]
 
 def verify_response_digest(value: Any, digest: str, *, where: str) -> None:
     """End-to-end check: does a served ``value`` still hash to the
-    ``digest`` the engine sealed over it?  Shared by both clients (and
-    the cluster router) — raises :class:`~repro.errors.IntegrityError`
+    ``digest`` the engine sealed over it?  Shared by the HTTP client
+    and the cluster router, which check bytes that crossed a wire —
+    raises :class:`~repro.errors.IntegrityError`
     on mismatch.  Every answer this program serves carries its digest,
     so an absent (empty) one is a mismatch too."""
     try:
@@ -70,14 +71,11 @@ class ServeClient:
     def __init__(
         self,
         engine: QueryEngine | None = None,
-        *,
-        verify_digest: bool = False,
         **engine_kwargs: Any,
     ):
         if engine is not None and engine_kwargs:
             raise ValueError("pass an engine or engine kwargs, not both")
         self.engine = engine or QueryEngine(**engine_kwargs)
-        self.verify_digest = verify_digest
         #: The event loop the engine (and its HTTP front end) lives on;
         #: ``None`` until :meth:`start`.
         self.loop: asyncio.AbstractEventLoop | None = None
@@ -137,22 +135,14 @@ class ServeClient:
         deadline budget: every engine stage refuses work the budget
         can no longer pay for (:class:`~repro.errors.DeadlineExhausted`).
         ``store=False`` keeps the answer out of the caches (hedged
-        backups).  With ``verify_digest=True`` the response's sealed
-        digest is recomputed client-side and a mismatch raises
-        :class:`~repro.errors.IntegrityError` — end-to-end proof the
-        bytes the caller holds are the bytes the engine computed.
+        backups).
         """
-        response = self._run(
+        return self._run(
             self.engine.submit(
                 kind, params, timeout=timeout, scenario=scenario,
                 budget=budget, store=store,
             )
         )
-        if self.verify_digest:
-            verify_response_digest(
-                response.value, response.digest, where="engine"
-            )
-        return response
 
     def query_many(
         self,
@@ -221,8 +211,9 @@ class ServeClient:
         when the file is structurally invalid — the caller's contract
         is to treat that as a cold start, never a crash.  Content
         damage is *salvaged*: entries failing their per-entry digest
-        are quarantined (counted as ``snapshot_entries_quarantined``)
-        and the undamaged rest restored."""
+        are quarantined (counted as ``snapshot_entries_quarantined``
+        and ``integrity_detected``) and the undamaged rest restored.
+        Each entry is hashed once, by the loader."""
         from repro.serve.snapshot import load_snapshot
 
         loaded = load_snapshot(path)

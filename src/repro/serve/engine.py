@@ -46,13 +46,10 @@ And the integrity layer (:mod:`repro.integrity`):
   ``wrong-answer`` fault) raises a typed error and is retried;
 * **checksummed envelopes** — both caches hold
   :class:`~repro.integrity.ResultEnvelope`\\ s (value + canonical
-  SHA-256 + recompute provenance); cache hits verify the digest at a
-  sampled rate (``verify_sample_rate``), stale/degraded answers always,
-  snapshot restores always — a failing entry is quarantined and the
-  answer recomputed, never served;
-* **the scrubber** — with ``scrub_interval_s > 0`` a background task
-  patrols the result cache at idle priority, quarantining and
-  re-deriving any entry whose bytes no longer match their digest.
+  SHA-256); an envelope's digest is verified every time it leaves a
+  cache — a hit, or a stale/degraded answer — and a failing entry is
+  quarantined and the answer recomputed from the query that found it,
+  never served.  Snapshot entries are verified once, by the loader.
 
 Everything engine-side runs on one event loop — cross-thread callers go
 through :class:`repro.serve.client.ServeClient`, which owns a loop in a
@@ -62,7 +59,6 @@ background thread.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -95,7 +91,7 @@ from repro.resilience.faultplan import (
 )
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.scenario.context import scenario_context
-from repro.scenario.io import scenario_from_dict, scenario_to_dict
+from repro.scenario.io import scenario_from_dict
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.admission import AIMDLimiter
 from repro.serve.deadline import DeadlineBudget
@@ -118,8 +114,6 @@ SERVE_RETRY_POLICY = RetryPolicy(
 STALE_SIZE = 1024
 #: CoDel-style queue-delay target of the adaptive admission controller.
 ADMISSION_TARGET_S = 0.1
-#: Cache entries the scrubber verifies per event-loop slice.
-SCRUB_CHUNK = 16
 
 
 def describe_scenarios(scenarios: dict[str, ScenarioSpec]) -> dict[str, Any]:
@@ -367,8 +361,6 @@ class QueryEngine:
         retry_policy: RetryPolicy = SERVE_RETRY_POLICY,
         breaker_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
-        verify_sample_rate: float = 0.125,
-        scrub_interval_s: float = 0.0,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -378,14 +370,6 @@ class QueryEngine:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if not 0.0 <= verify_sample_rate <= 1.0:
-            raise ValueError(
-                f"verify_sample_rate must be in [0, 1], got {verify_sample_rate}"
-            )
-        if scrub_interval_s < 0:
-            raise ValueError(
-                f"scrub_interval_s must be >= 0, got {scrub_interval_s}"
-            )
         if registry is None:
             from repro.serve.handlers import DEFAULT_REGISTRY
 
@@ -398,19 +382,6 @@ class QueryEngine:
         self.default_timeout_s = default_timeout_s
         self.metrics = Metrics()
         self.retry_policy = retry_policy
-        self.verify_sample_rate = verify_sample_rate
-        self.scrub_interval_s = scrub_interval_s
-        # Seeded: verification sampling replays identically run to run,
-        # so chaos drills at rate < 1 are still deterministic.
-        self._verify_rng = random.Random(0)
-        self._scrub_task: asyncio.Task | None = None
-        self._scrub_stats = {
-            "passes": 0,
-            "scanned": 0,
-            "quarantined": 0,
-            "recomputed": 0,
-        }
-        self._last_scrub_at: float | None = None
         if isinstance(fault_plan, FaultPlan):
             self._injector = (
                 None if fault_plan.is_empty else FaultInjector(fault_plan)
@@ -457,9 +428,7 @@ class QueryEngine:
         self.metrics.register_gauge(
             "pending_batches", lambda: len(self._open_groups)
         )
-        self.metrics.register_gauge("scrub_age_s", self._scrub_age_s)
         self.metrics.register_section("admission", self._admission.limits)
-        self.metrics.register_section("scrubber", self._scrubber_stats)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -477,19 +446,10 @@ class QueryEngine:
         self._worker_tasks = [
             asyncio.ensure_future(self._worker()) for _ in range(self.workers)
         ]
-        if self.scrub_interval_s > 0:
-            self._scrub_task = asyncio.ensure_future(self._scrub_loop())
 
     async def stop(self) -> None:
         if not self.started:
             return
-        if self._scrub_task is not None:
-            self._scrub_task.cancel()
-            try:
-                await self._scrub_task
-            except asyncio.CancelledError:
-                pass
-            self._scrub_task = None
         queue = self._queue
         for _ in self._worker_tasks:
             await queue.put(_STOP)
@@ -556,123 +516,23 @@ class QueryEngine:
         oldest first so the LRU order survives the round trip; returns
         how many entries landed (the cache bound may evict overflow).
 
-        Every restored envelope is verified — restores are rare and a
-        snapshot sat on disk where anything may have happened to it;
-        entries failing their digest are quarantined (dropped + counted
-        as ``snapshot_entries_quarantined``), never installed."""
+        The entries are stored as given: the snapshot loader has
+        already verified each one against its digest."""
         for key, envelope in entries:
-            if not envelope.verify():
-                self.metrics.inc("integrity_detected")
-                self.metrics.inc("snapshot_entries_quarantined")
-                continue
             self._store(key, envelope)
         return len(self._cache)
 
-    # -- the cache scrubber --------------------------------------------------
-
-    def _scrub_age_s(self) -> float:
-        """Seconds since the last completed scrub pass (-1: never)."""
-        if self._last_scrub_at is None:
-            return -1.0
-        return time.perf_counter() - self._last_scrub_at
-
-    def _scrubber_stats(self) -> dict[str, Any]:
-        return dict(
-            self._scrub_stats,
-            interval_s=self.scrub_interval_s,
-            age_s=round(self._scrub_age_s(), 3),
-        )
-
-    async def _scrub_loop(self) -> None:
-        """Background patrol over the result cache (``scrub_interval_s``
-        between passes): verify every envelope, quarantine what fails,
-        resubmit it from its own provenance so the cache heals itself.
-        Bounded and polite — :data:`SCRUB_CHUNK` entries per event-loop
-        slice, and a pass yields whenever the admission queue has real
-        work waiting (scrubbing is strictly lower priority)."""
-        while True:
-            await asyncio.sleep(self.scrub_interval_s)
-            try:
-                await self._scrub_pass()
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - defensive
-                # A scrubber crash must never take the engine down.
-                self.metrics.inc("errors")
-
-    async def _scrub_pass(self) -> dict[str, int]:
-        """One full verification sweep; returns the pass's tallies."""
-        scanned = quarantined = recomputed = 0
-        keys = list(self._cache.keys())
-        for start in range(0, len(keys), SCRUB_CHUNK):
-            # Yield between chunks, and back off while the queue holds
-            # real traffic — the scrubber spends idle capacity only.
-            while self._queue is not None and self._queue.qsize() > 0:
-                await asyncio.sleep(0.005)
-            for key in keys[start : start + SCRUB_CHUNK]:
-                entry = self._cache.get(key)
-                if entry is None:
-                    continue  # evicted since the scan started
-                scanned += 1
-                if entry.verify():
-                    continue
-                quarantined += 1
-                self.metrics.inc("integrity_detected")
-                self._quarantine(key)
-                if await self._scrub_recompute(entry):
-                    recomputed += 1
-            await asyncio.sleep(0)
-        self._scrub_stats["passes"] += 1
-        self._scrub_stats["scanned"] += scanned
-        self._scrub_stats["quarantined"] += quarantined
-        self._scrub_stats["recomputed"] += recomputed
-        self._last_scrub_at = time.perf_counter()
-        return {
-            "scanned": scanned,
-            "quarantined": quarantined,
-            "recomputed": recomputed,
-        }
-
-    async def _scrub_recompute(self, entry: ResultEnvelope) -> bool:
-        """Heal one quarantined entry by resubmitting its own query
-        (the envelope carries kind, canonical params, and scenario).
-        Best-effort: a shedding or draining engine just leaves the slot
-        cold for the next pass."""
-        try:
-            await self.submit(
-                entry.kind, dict(entry.params), scenario=entry.scenario
-            )
-        except ServeError:
-            return False
-        except asyncio.CancelledError:
-            raise
-        except Exception:  # pragma: no cover - defensive
-            return False
-        self.metrics.inc("integrity_recomputed")
-        return True
+    # -- quarantine ---------------------------------------------------------
 
     def _quarantine(self, key: Any) -> None:
         """Drop a corrupt entry from every store that could serve it."""
         self._cache.pop(key, None)
         self._stale.pop(key, None)
 
-    def _should_verify(self) -> bool:
-        """Whether this hot-path cache read pays for digest
-        verification.  Sampled (seeded) so the steady-state overhead is
-        ``verify_sample_rate`` of a SHA-256 per hit; 1.0 verifies every
-        read (chaos drills), 0.0 leaves detection to the scrubber."""
-        if self.verify_sample_rate >= 1.0:
-            return True
-        if self.verify_sample_rate <= 0.0:
-            return False
-        return self._verify_rng.random() < self.verify_sample_rate
-
     def _verified_stale(self, key: Any) -> ResultEnvelope | None:
-        """The stale store's envelope for ``key`` — but *always*
-        digest-verified first: degraded answers are rare enough that a
-        full check costs nothing, and a degraded answer is exactly the
-        one nobody would otherwise double-check.  Corrupt stale entries
-        are quarantined and reported absent."""
+        """The stale store's envelope for ``key``, digest-verified like
+        every envelope that leaves a cache.  Corrupt stale entries are
+        quarantined and reported absent."""
         stale = self._stale.get(key)
         if stale is None:
             return None
@@ -849,7 +709,7 @@ class QueryEngine:
                 self._quarantine(key)
                 entry = None
             if entry is not None:
-                if self._should_verify() and not entry.verify():
+                if not entry.verify():
                     # Verify-on-read caught rot: quarantine and fall
                     # through to a fresh computation — the caller gets a
                     # recomputed answer, never the damaged bytes.
@@ -1075,26 +935,11 @@ class QueryEngine:
         while len(self._stale) > STALE_SIZE:
             self._stale.popitem(last=False)
 
-    def _seal(self, query: Query, value: Any) -> ResultEnvelope:
-        """Seal a freshly verified answer into its cache envelope —
-        digest now, while the value is known good, plus the provenance
-        (kind, canonical params, scenario) the scrubber needs to
-        recompute it if the stored copy ever rots."""
-        return seal(
-            value,
-            kind=query.kind.name,
-            params=query.canonical,
-            scenario=(
-                scenario_to_dict(query.scenario)
-                if query.scenario is not None
-                else None
-            ),
-        )
-
     def _finish(
         self, query: Query, future: asyncio.Future, value: Any, n_members: int
     ) -> None:
-        envelope = self._seal(query, value)
+        # Sealed now, while the value is known good.
+        envelope = seal(value)
         inflight = self._inflight.pop(query.cache_key, None)
         if inflight is None or inflight[1].store:
             self._store(query.cache_key, envelope)

@@ -249,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--snapshot-interval", type=seconds, metavar="SECONDS",
         help="also flush the snapshot periodically; 0 disables (default 0, "
         "or 5 with --cluster)")
-    add("--verify-sample-rate", type=_bounded(float, 0, 1), default=0.125,
-        metavar="R", help="fraction of cache hits whose digest is "
-        "re-verified before serving (default %(default)g)")
-    add("--scrub-interval", type=seconds, default=0.0, metavar="SECONDS",
-        help="background cache-scrubber pass interval; 0 disables (default 0)")
     add("--drain-timeout", type=seconds, default=10.0, metavar="SECONDS",
         help="in-flight grace on SIGTERM/SIGINT (default %(default)g)")
     add("--verbose", action="store_true",
@@ -474,8 +469,6 @@ def _serve_cluster(parser: argparse.ArgumentParser,
             ring_seed=args.ring_seed,
             hedge=not args.no_hedge,
             hedge_ratio=args.hedge_ratio,
-            verify_sample_rate=args.verify_sample_rate,
-            scrub_interval_s=args.scrub_interval,
             verbose=args.verbose,
         )
     except ClusterError as exc:  # e.g. --fault-plan-shard out of range
@@ -531,8 +524,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_size=args.cache_size,
         default_timeout_s=args.timeout,
         fault_plan=fault_plan,
-        verify_sample_rate=args.verify_sample_rate,
-        scrub_interval_s=args.scrub_interval,
     )
     if fault_plan is not None:
         print(

@@ -3,11 +3,11 @@
 A graceful shutdown flushes the engine's result cache to disk so the
 next process starts warm instead of recomputing every popular answer.
 The file is JSON with a format marker, a version, and a payload whose
-every entry carries its own SHA-256 (the
-:class:`~repro.integrity.ResultEnvelope` digest sealed when the value
-was computed) plus its recompute provenance (``kind``, ``params``, and
-any ``scenario``).  There is no whole-document checksum: the entry
-digests are what the loader checks.  It is written through
+every entry is ``{key, value, sha256}``: the value and the
+:class:`~repro.integrity.ResultEnvelope` digest sealed when it was
+computed.  There is no whole-document checksum: the entry digests are
+what the loader checks, and the loader is the one place a restored
+entry is hashed.  It is written through
 :func:`repro.harness.store.durable_write`, so a crash mid-flush leaves
 the previous snapshot (or nothing), never a torn one.
 
@@ -17,7 +17,7 @@ payload — still raises :class:`~repro.errors.SnapshotError` (cold
 start).  *Content* damage is salvaged instead: every entry carries its
 own digest, so a snapshot with one damaged entry restores the entries
 that still verify and quarantines only the damaged ones (and any entry
-missing its digest or provenance) —
+missing its key, value or digest) —
 :attr:`LoadedSnapshot.quarantined` counts them, and the server reports
 the tally as ``snapshot_entries_quarantined``.  A corrupt snapshot
 costs partial warmth, never correctness, and never a crash.
@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-serve-cache"
-#: Version 2: per-entry ``sha256`` digests + recompute provenance
-#: (``kind``/``params``/``scenario``).  Version-1 files (no per-entry
-#: digests — nothing to salvage with) are refused: one cold start at
-#: upgrade time.
+#: Version 2: per-entry ``sha256`` digests.  Entries written with
+#: ``kind``/``params``/``scenario`` keys by older writers still load
+#: (the keys are ignored).  Version-1 files (no per-entry digests —
+#: nothing to salvage with) are refused: one cold start at upgrade
+#: time.
 SNAPSHOT_VERSION = 2
 
 
@@ -103,7 +104,7 @@ def save_snapshot(
 
     Entries are ``(key, ResultEnvelope)`` pairs straight from
     :meth:`QueryEngine.cache_entries`, so every written entry carries
-    its digest and provenance.  Raises
+    its digest.  Raises
     :class:`~repro.errors.StoreError` if the durable write fails and
     :class:`SnapshotError` if an entry's value is not JSON-encodable
     (cached values are wire payloads, so this indicates a handler bug
@@ -141,8 +142,10 @@ def load_snapshot(path: str | Path) -> LoadedSnapshot:
     have exactly one failure path.)  *Content* damage is per-entry:
     each entry's value is re-hashed against the ``sha256`` sealed at
     flush time, and only matching entries are returned; the rest, and
-    entries missing their key, digest, ``kind`` or ``params``, are
-    counted in :attr:`LoadedSnapshot.quarantined`.
+    entries missing their key, value or digest, are counted in
+    :attr:`LoadedSnapshot.quarantined`.  This is the only check a
+    restored entry gets: the engine stores what it returns without
+    hashing it again.
     """
     path = Path(path)
     try:

@@ -9,6 +9,7 @@ projects.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.spackdep.graph import DependencyGraph
@@ -45,13 +46,16 @@ class DistanceTable:
 
 def dependency_distances(graph: DependencyGraph) -> DistanceTable:
     """Multi-source BFS from the BLAS providers along reversed edges."""
-    import networkx as nx  # ~0.1 s to import; only Table III needs it
-
-    sources = list(graph.blas_providers)
-    rev = graph.dependents_view()
-    lengths = nx.multi_source_dijkstra_path_length(rev, sources, weight=None)
+    distance = dict.fromkeys(graph.blas_providers, 0)
+    frontier = deque(distance)
+    while frontier:
+        name = frontier.popleft()
+        d = distance[name] + 1
+        for dependent in graph.dependents[name]:
+            if dependent not in distance:
+                distance[dependent] = d
+                frontier.append(dependent)
     counts: dict[int, int] = {}
-    for dist in lengths.values():
-        d = int(dist)
+    for d in distance.values():
         counts[d] = counts.get(d, 0) + 1
     return DistanceTable(total_packages=len(graph), counts=counts)

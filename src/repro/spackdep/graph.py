@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import GraphError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["Package", "DependencyGraph"]
 
@@ -40,24 +36,24 @@ class Package:
 
 
 class DependencyGraph:
-    """A validated package index with dependency edges ``pkg -> dep``."""
+    """A validated package index with dependency edges ``pkg -> dep``.
+
+    ``dependents`` holds the edges reversed, ``dep -> [pkg, ...]``: the
+    direction a BFS from the BLAS providers walks."""
 
     def __init__(self, packages: dict[str, Package]) -> None:
-        import networkx as nx  # ~0.1 s to import; only an index needs it
-
         self.packages = dict(packages)
-        g = nx.DiGraph()
-        g.add_nodes_from(self.packages)
+        dependents: dict[str, list[str]] = {name: [] for name in self.packages}
         for pkg in self.packages.values():
             for dep in pkg.depends_on:
-                if dep not in self.packages:
+                if dep not in dependents:
                     raise GraphError(
                         f"package {pkg.name!r} depends on unknown {dep!r}"
                     )
                 if dep == pkg.name:
                     raise GraphError(f"package {pkg.name!r} depends on itself")
-                g.add_edge(pkg.name, dep)
-        self.graph = g
+                dependents[dep].append(pkg.name)
+        self.dependents = dependents
 
     def __len__(self) -> int:
         return len(self.packages)
@@ -68,10 +64,6 @@ class DependencyGraph:
         return tuple(
             sorted(p.name for p in self.packages.values() if p.provides_blas)
         )
-
-    def dependents_view(self) -> "nx.DiGraph":
-        """Reversed edges: dep -> dependent (BFS frontier direction)."""
-        return self.graph.reverse(copy=False)
 
     def merged_subpackages(self) -> "DependencyGraph":
         """Contract py-*/r-* sub-packages into their parent projects.

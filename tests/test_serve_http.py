@@ -430,12 +430,11 @@ class TestServeCli:
               ("--handler-concurrency", "0"),
               ("--workers", "4"),  # the removed spelling
               ("--queue-size", "0"),
-              ("--verify-sample-rate", "2"),
-              ("--verify-sample-rate", "-0.5"),
+              ("--verify-sample-rate", "1.0"),  # removed
               ("--timeout", "-1"),
               ("--drain-timeout", "-1"),
               ("--snapshot-interval", "-1"),
-              ("--scrub-interval", "-1"),
+              ("--scrub-interval", "5"),  # removed
           ]),
         ["--cluster", "0"],
         ["--cluster", "2", "--spill", "-1"],

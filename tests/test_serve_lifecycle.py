@@ -27,6 +27,11 @@ from repro.serve.http import make_server
 
 REPO = Path(__file__).resolve().parent.parent
 QUERY = ("me_speedup", {"device": "v100", "fmt": "fp16"})
+THREE_QUERIES = [
+    QUERY,
+    ("node_hours", {"scenario": "anl", "speedup": 4.0}),
+    ("density", {"device_a": "v100", "device_b": "a100"}),
+]
 
 
 # -- in-process: engine drain semantics --------------------------------------
@@ -164,6 +169,97 @@ class TestSnapshotWarmth:
             again = reader.query(kind, params)
             assert again.cached is False
             assert again.value == honest.value
+        finally:
+            reader.close()
+
+    @staticmethod
+    def _write_snapshot(path, queries):
+        writer = ServeClient(workers=1).start()
+        try:
+            answers = [writer.query(kind, params) for kind, params in queries]
+            writer.save_cache_snapshot(path)
+        finally:
+            writer.close()
+        return answers
+
+    def test_restore_hashes_each_entry_once(self, tmp_path, monkeypatch):
+        import repro.integrity.envelope as envelope
+
+        snap = tmp_path / "cache.json"
+        self._write_snapshot(snap, THREE_QUERIES)
+        calls = []
+        digest = envelope.payload_digest
+
+        def counting_digest(value):
+            calls.append(value)
+            return digest(value)
+
+        monkeypatch.setattr(envelope, "payload_digest", counting_digest)
+        reader = ServeClient(workers=1).start()
+        try:
+            assert reader.load_cache_snapshot(snap) == 3
+        finally:
+            reader.close()
+        assert len(calls) == 3
+
+    def test_one_damaged_entry_is_one_quarantine_one_detection(
+        self, tmp_path
+    ):
+        snap = tmp_path / "cache.json"
+        self._write_snapshot(snap, THREE_QUERIES)
+        document = json.loads(snap.read_text())
+        document["payload"]["entries"][0]["value"] = {"damaged": True}
+        snap.write_text(json.dumps(document))
+
+        reader = ServeClient(workers=1).start()
+        try:
+            assert reader.load_cache_snapshot(snap) == 2
+            counters = reader.metrics()["counters"]
+            assert counters["snapshot_entries_quarantined"] == 1
+            assert counters["integrity_detected"] == 1
+        finally:
+            reader.close()
+
+    def test_snapshot_with_provenance_keys_restores_warm(self, tmp_path):
+        """Older writers also stored each entry's ``kind`` and
+        ``params``, and the ``scenario`` of an overlaid query; such a
+        file restores whole and serves its repeat queries as hits."""
+        from repro.scenario import load_scenario, scenario_to_dict
+
+        snap = tmp_path / "cache.json"
+        spec = scenario_to_dict(load_scenario(
+            REPO / "examples" / "scenarios" / "int8_matrix_engine.json"
+        ))
+        queries = [
+            (*QUERY, None),
+            ("me_speedup", {"device": "v100-int8me", "fmt": "fp16"}, spec),
+        ]
+        writer = ServeClient(workers=1).start()
+        try:
+            answers = [
+                writer.query(kind, params, scenario=scenario)
+                for kind, params, scenario in queries
+            ]
+            writer.save_cache_snapshot(snap)
+        finally:
+            writer.close()
+        document = json.loads(snap.read_text())
+        entries = document["payload"]["entries"]
+        for entry, answer, (_, _, scenario) in zip(entries, answers, queries):
+            entry.update(kind=answer.kind, params=answer.params)
+            if scenario is not None:
+                entry["scenario"] = scenario
+        snap.write_text(json.dumps(document))
+
+        reader = ServeClient(workers=1).start()
+        try:
+            assert reader.load_cache_snapshot(snap) == 2
+            counters = reader.metrics()["counters"]
+            assert counters["snapshot_entries_quarantined"] == 0
+            for (kind, params, scenario), answer in zip(queries, answers):
+                warmed = reader.query(kind, params, scenario=scenario)
+                assert warmed.cached is True
+                assert warmed.value == answer.value
         finally:
             reader.close()
 

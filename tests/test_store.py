@@ -213,11 +213,8 @@ class TestAudit:
 class TestSnapshotFormat:
     def _entries(self):
         return [
-            (("hash-1", (("k_year", 1),)),
-             seal({"answer": 1}, kind="echo", params={"n": 1})),
-            (("hash-2", (("k_year", 1),), "fp-a"),
-             seal([1, 2, 3], kind="echo", params={"n": 2},
-                  scenario={"name": "fp-a"})),
+            (("hash-1", (("k_year", 1),)), seal({"answer": 1})),
+            (("hash-2", (("k_year", 1),), "fp-a"), seal([1, 2, 3])),
         ]
 
     def test_round_trip_preserves_keys_and_values(self, tmp_path):
@@ -229,22 +226,20 @@ class TestSnapshotFormat:
         assert loaded.quarantined == 0 and loaded.total == 2
         assert loaded.entries == self._entries()
 
-    @pytest.mark.parametrize("field", ["kind", "params"])
-    def test_entry_without_provenance_is_quarantined(self, tmp_path, field):
+    def test_entries_with_provenance_keys_still_load(self, tmp_path):
         from repro.serve.snapshot import load_snapshot, save_snapshot
 
         path = tmp_path / "cache.json"
         save_snapshot(path, self._entries())
         document = json.loads(path.read_text())
-        # Its digest still verifies: only the recompute provenance the
-        # scrubber needs is gone.
-        del document["payload"]["entries"][0][field]
+        # Older writers stored each entry's kind, params and scenario.
+        first, second = document["payload"]["entries"]
+        first.update(kind="echo", params={"n": 1})
+        second.update(kind="echo", params={"n": 2}, scenario={"name": "fp-a"})
         path.write_text(json.dumps(document))
         loaded = load_snapshot(path)
-        assert loaded.quarantined == 1 and loaded.total == 2
-        assert [key for key, _ in loaded.entries] == [
-            ("hash-2", (("k_year", 1),), "fp-a")
-        ]
+        assert loaded.quarantined == 0 and loaded.total == 2
+        assert loaded.entries == self._entries()
 
     def test_no_whole_document_checksum(self, tmp_path):
         from repro.serve.snapshot import load_snapshot, save_snapshot
